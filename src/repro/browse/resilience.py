@@ -1,12 +1,15 @@
-"""A resilient serving layer over the browsing stack.
+"""The resilient configuration of the browse pipeline.
 
-:class:`~repro.browse.service.GeoBrowsingService` is the fast path: one
-vectorised batch per raster, nothing between an estimator exception and
-the client.  In a production GeoBrowsing deployment (hundreds of trial
-queries per interaction, Section 1) that is not acceptable: one flaky
-estimator, one pathologically large raster or one corrupt summary must
-degrade the answer, not kill the session.  :class:`ResilientBrowsingService`
-adds that failure story:
+:class:`~repro.browse.service.GeoBrowsingService` answers a raster's miss
+set with one vectorised batch, nothing between an estimator exception
+and the client.  In a production GeoBrowsing deployment (hundreds of
+trial queries per interaction, Section 1) that is not acceptable: one
+flaky estimator, one pathologically large raster or one corrupt summary
+must degrade the answer, not kill the session.
+:class:`ResilientBrowsingService` runs the same
+:class:`~repro.browse.service.BrowsePipeline` -- resolve, delta, cache,
+store and assemble are shared -- and replaces only the answer stage, with
+this failure story:
 
 - **Deadlines.**  A raster is answered in *row chunks* with a deadline
   check between chunks.  When the budget runs out, the remaining chunks
@@ -24,6 +27,9 @@ adds that failure story:
   success closes the breaker again.
 - **Retries.**  Transient faults are retried per tier with deterministic
   exponential backoff before falling through the chain.
+- **Pyramid.**  Under a deadline, a coarse pyramid raster prefills the
+  miss set before any chunk runs, and rescues chunks whose chain is
+  exhausted.
 
 All failures surface through the structured taxonomy of
 :mod:`repro.errors`; if every tier fails a chunk the service raises
@@ -43,16 +49,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.browse.delta import DeltaPlan, DeltaSource, DeltaTracker, plan_delta
+from repro.browse.delta import DeltaTracker
 from repro.browse.refine import PyramidSource, RefinementStep
-from repro.browse.service import BrowseResult, resolve_browse_request
+from repro.browse.service import BrowsePipeline, BrowseResult, RasterState
 from repro.browse.sharding import ShardPool, batch_subset
-from repro.cache import CacheKey, TileResultCache, backing_summary, summary_generation, summary_token
-from repro.errors import (
-    DeadlineExceededError,
-    EstimatorFailedError,
-    InvalidRegionError,
-)
+from repro.cache import TileResultCache
+from repro.errors import DeadlineExceededError, EstimatorFailedError
 from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
 from repro.euler.pyramid import HistogramPyramid
 from repro.geometry.rect import Rect
@@ -65,7 +67,6 @@ from repro.parallel.executor import (
     ParallelExecutor,
     ProcessBackedEstimator,
 )
-from repro.workloads.tiles import browsing_tile_batch, validate_browsing_tiling
 
 __all__ = [
     "CircuitBreaker",
@@ -342,28 +343,6 @@ class FallbackChain:
             )
         return values
 
-    def estimate_chunk(
-        self,
-        batch: TileQueryBatch,
-        field_name: str,
-        *,
-        trace: RequestTrace | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Answer one chunk of tile queries, falling through the chain.
-
-        Returns the float64 counts for ``field_name``, one per query.
-        Raises :class:`~repro.errors.EstimatorFailedError` when no tier
-        can answer.  When a trace is given, every tier attempt is
-        recorded as an ``attempt:<tier>`` span with its outcome.
-        ``timeout`` is forwarded to deadline-aware tiers (see
-        :meth:`_attempt`).
-        """
-        values, _tier = self.estimate_chunk_tiered(
-            batch, field_name, trace=trace, timeout=timeout
-        )
-        return values
-
     def estimate_chunk_tiered(
         self,
         batch: TileQueryBatch,
@@ -372,9 +351,17 @@ class FallbackChain:
         trace: RequestTrace | None = None,
         timeout: float | None = None,
     ) -> tuple[np.ndarray, EstimatorTier]:
-        """Like :meth:`estimate_chunk`, but also returns the tier that
-        answered -- callers caching results need to know whether the
-        answer is authoritative (primary tier) or degraded."""
+        """Answer one chunk of tile queries, falling through the chain.
+
+        Returns the float64 counts for ``field_name``, one per query, and
+        the tier that answered -- callers caching results need to know
+        whether the answer is authoritative (primary tier) or degraded.
+        Raises :class:`~repro.errors.EstimatorFailedError` when no tier
+        can answer.  When a trace is given, every tier attempt is
+        recorded as an ``attempt:<tier>`` span with its outcome.
+        ``timeout`` is forwarded to deadline-aware tiers (see
+        :meth:`_attempt`).
+        """
         causes: list[BaseException] = []
         obs = self._obs
         for depth, tier in enumerate(self.tiers):
@@ -442,15 +429,15 @@ class FallbackChain:
         )
 
 
-class ResilientBrowsingService:
+class ResilientBrowsingService(BrowsePipeline):
     """A browsing service with deadlines, fallbacks and partial answers.
 
-    Drop-in alternative to
-    :class:`~repro.browse.service.GeoBrowsingService`: same
-    ``browse(region, rows, cols, relation)`` surface, same
-    :class:`~repro.browse.service.BrowseResult`, but the raster is
-    answered in row chunks through a :class:`FallbackChain` with a
-    per-request deadline.  See the module docstring for the semantics.
+    The resilient configuration of
+    :class:`~repro.browse.service.BrowsePipeline`: the ``browse``
+    surface, stages and result of
+    :class:`~repro.browse.service.GeoBrowsingService`, but the miss set
+    is answered in row chunks through a :class:`FallbackChain` under a
+    per-request deadline (see the module docstring).
 
     Parameters
     ----------
@@ -470,31 +457,19 @@ class ResilientBrowsingService:
         ``BrowseResult.telemetry``), tier/breaker/tile outcomes are
         recorded, and its accuracy probe (if any) samples each answered
         raster.  ``None`` (the default) keeps the path uninstrumented.
-    cache:
-        An optional :class:`~repro.cache.TileResultCache`.  The raster is
-        probed once, vectorised, before any chunk runs; hit tiles are
-        answered immediately (they survive even a zero deadline) and
-        only miss tiles reach the fallback chain.  Only *primary-tier*
-        answers are cached -- a degraded (fallback) answer must not keep
-        serving after the primary recovers.  Keys carry the primary
-        summary's generation, so maintained-histogram updates invalidate
-        stale entries for free.
+    cache, delta:
+        As for :class:`~repro.browse.service.GeoBrowsingService`: the
+        pipeline's cache and delta stages run before any deadline check,
+        so cache hits and a pan's overlap survive even a zero budget.
+        Only *primary-tier* answers are stored or reused -- a degraded
+        (fallback) answer must not keep serving after the primary
+        recovers.
     num_shards:
         When > 1, up to this many row chunks are dispatched concurrently
         per *wave* on a :class:`~repro.browse.sharding.ShardPool`.  The
         deadline is checked between waves (a wave in flight is never
         abandoned), which generalises the sequential per-chunk check;
         with the default 1 the behaviour is exactly the sequential one.
-    delta:
-        An optional :class:`~repro.browse.delta.DeltaTracker`.  Tiles of
-        the session's previous raster that coincide with this request's
-        tiles (same scope/generation, tile extents and lattice-aligned
-        offset) are copied and marked valid *before* any deadline check
-        runs, so a pan's overlap survives even a zero budget; only the
-        fresh band walks the cache-probe/fallback-chain path.  Only tiles
-        answered by the primary tier (or copied from ones that were) are
-        ever reused -- a degraded tier's counts must not outlive the
-        interaction that produced them.
     pyramid:
         An optional :class:`~repro.euler.pyramid.HistogramPyramid` (or a
         prebuilt :class:`~repro.browse.refine.PyramidSource`) whose
@@ -514,6 +489,8 @@ class ResilientBrowsingService:
         Fraction of the deadline budget the refinement ladder may spend
         before yielding to the fine chunk path (default 0.35).
     """
+
+    service_label = "resilient"
 
     def __init__(
         self,
@@ -548,32 +525,28 @@ class ResilientBrowsingService:
             raise ValueError(
                 "the pyramid source's finest grid must equal the service grid"
             )
-        self._pyramid = pyramid
-        self._refine_fraction = refine_fraction
+        if isinstance(estimators, Level2Estimator):
+            estimators = [estimators]
         # Process parallelism wraps the *primary* estimator in a
         # ProcessBackedEstimator before the chain is built, so it only
         # composes with the estimators form of construction.
-        self._parallel: ParallelExecutor | None = None
+        executor: ParallelExecutor | None = None
         if parallel is not None:
             if chain is not None:
                 raise ValueError(
                     "parallel cannot be combined with a prebuilt chain; "
                     "pass the estimators sequence instead"
                 )
-            if isinstance(estimators, Level2Estimator):
-                estimators = [estimators]
             estimators = list(estimators)
-            self._parallel = ParallelExecutor(
+            executor = ParallelExecutor(
                 estimators[0],
                 parallel,
                 num_shards=num_shards,
                 instruments=instruments,
                 service="resilient",
             )
-            estimators[0] = ProcessBackedEstimator(estimators[0], self._parallel)
+            estimators[0] = ProcessBackedEstimator(estimators[0], executor)
         if chain is None:
-            if isinstance(estimators, Level2Estimator):
-                estimators = [estimators]
             chain = FallbackChain(
                 estimators,
                 failure_threshold=failure_threshold,
@@ -584,23 +557,21 @@ class ResilientBrowsingService:
                 sleep=sleep,
                 instruments=instruments,
             )
+        super().__init__(
+            chain.tiers[0].estimator,
+            grid,
+            num_shards=num_shards,
+            instruments=instruments,
+            cache=cache,
+            delta=delta,
+            parallel=executor,
+            pool=ShardPool(num_shards) if num_shards > 1 else None,
+            clock=clock,
+        )
         self._chain = chain
-        self._grid = grid
         self._chunk_rows = chunk_rows
-        self._clock = clock
-        self._obs = instruments
-        self._cache = cache
-        self._pool = ShardPool(num_shards) if num_shards > 1 else None
-        self._delta = delta
-        self._summary = backing_summary(chain.tiers[0].estimator)
-        self._summary_token = summary_token(self._summary)
-        self._close_lock = threading.Lock()
-        self._closed = False
-
-    @property
-    def grid(self) -> Grid:
-        """The service's evaluation grid."""
-        return self._grid
+        self._pyramid = pyramid
+        self._refine_fraction = refine_fraction
 
     @property
     def chain(self) -> FallbackChain:
@@ -608,76 +579,9 @@ class ResilientBrowsingService:
         return self._chain
 
     @property
-    def estimator_name(self) -> str:
-        """The primary tier's label."""
-        return self._chain.tiers[0].name
-
-    @property
-    def cache(self) -> TileResultCache | None:
-        """The tile-result cache, when one was configured."""
-        return self._cache
-
-    @property
-    def num_shards(self) -> int:
-        """Row chunks dispatched concurrently per wave (1 = sequential)."""
-        return self._pool.num_shards if self._pool is not None else 1
-
-    @property
-    def delta(self) -> DeltaTracker | None:
-        """The viewport-delta tracker, when one was configured."""
-        return self._delta
-
-    @property
     def pyramid(self) -> PyramidSource | None:
         """The pyramid refinement source, when one was configured."""
         return self._pyramid
-
-    def cache_key(self, field_name: str) -> CacheKey:
-        """The cache key for this service's *primary-tier* answers: the
-        primary summary's identity token and current generation plus the
-        primary estimator's label."""
-        return CacheKey(
-            summary_id=self._summary_token,
-            generation=summary_generation(self._summary),
-            estimator_key=self._chain.tiers[0].name,
-            field=field_name,
-        )
-
-    @property
-    def parallel_executor(self) -> "ParallelExecutor | None":
-        """The primary tier's parallel router, when ``parallel`` was
-        configured (tests and diagnostics)."""
-        return self._parallel
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run (or is running)."""
-        with self._close_lock:
-            return self._closed
-
-    def close(self) -> None:
-        """Release the wave pool's threads and, when process
-        parallelism is configured, the primary tier's worker processes
-        and shared segments (no-op when unsharded).
-
-        Idempotent and safe to race: gateway shutdown paths close the
-        service from the event loop while executor threads may still be
-        inside :meth:`browse`, and double-close (e.g. an explicit close
-        followed by a ``finally`` close) must not error.  The first
-        caller performs the teardown; every later or concurrent caller
-        returns immediately.  In-flight waves survive the race because
-        :class:`~repro.browse.sharding.ShardPool` degrades to inline
-        execution after close and the process pool drains its dispatch
-        lock before releasing segments.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-        if self._parallel is not None:
-            self._parallel.close()
 
     def browse(
         self,
@@ -719,347 +623,168 @@ class ResilientBrowsingService:
             raise ValueError(
                 f"on_deadline must be 'partial' or 'raise', got {on_deadline!r}"
             )
-        obs = self._obs
-        trace = obs.new_trace() if obs is not None else None
-
-        def span(name: str, **attrs):
-            return trace.span(name, **attrs) if trace is not None else nullcontext()
-
-        expired = False
-        started = self._clock()
-        with span("browse", relation=relation, rows=rows, cols=cols, deadline=deadline):
-            with span("resolve"):
-                region, field_name = resolve_browse_request(self._grid, region, relation)
-            with span("validate_tiling"):
-                try:
-                    validate_browsing_tiling(region, rows, cols)
-                except ValueError as exc:
-                    raise InvalidRegionError(str(exc)) from exc
-
-            # The fine tiling's corner arrays, materialised on first
-            # need: a request fully answered by deltas, cache hits or a
-            # coarse pyramid raster never pays for them.
-            batch: TileQueryBatch | None = None
-
-            def tile_batch() -> TileQueryBatch:
-                nonlocal batch
-                if batch is None:
-                    with span("build_batch"):
-                        batch = browsing_tile_batch(region, rows, cols)
-                return batch
-
-            counts = np.full((rows, cols), np.nan, dtype=np.float64)
-            valid = np.zeros((rows, cols), dtype=bool)
-            counts_flat = counts.reshape(-1)
-            valid_flat = valid.reshape(-1)
-            # Tiles whose value the primary path stands behind (cache
-            # hits, delta copies, primary-tier chunks): only these are
-            # reusable by later viewport deltas.
-            primary_flat = np.zeros(rows * cols, dtype=bool)
-            miss_flat = np.ones(rows * cols, dtype=bool)
-            scope = self.cache_key(field_name)
-
-            # Viewport-delta probe: tiles coinciding with the session's
-            # previous raster are copied and marked valid before any
-            # deadline check runs, so a pan's overlap survives even a
-            # zero budget.
-            candidate = previous
-            if candidate is None and self._delta is not None:
-                candidate = self._delta.lookup(session)
-            plan: DeltaPlan | None = None
-            if candidate is not None:
-                plan = plan_delta(candidate, region, rows, cols, scope)
-            if plan is not None:
-                with span("delta_fill", tiles=plan.n_reused):
-                    plan.fill(counts_flat, candidate.counts)
-                    valid_flat[plan.reused] = True
-                    primary_flat[plan.reused] = True
-                    miss_flat[plan.reused] = False
-            if obs is not None and (previous is not None or self._delta is not None):
-                if plan is not None:
-                    outcome = "reused"
-                    obs.delta_tiles_reused.labels(service="resilient").inc(plan.n_reused)
-                else:
-                    outcome = "incompatible" if candidate is not None else "cold"
-                obs.delta_rasters.labels(service="resilient", outcome=outcome).inc()
-
-            # Vectorised cache probe over the tiles the delta could not
-            # cover: one gather answers every previously-seen tile before
-            # any chunk (or deadline) runs.
-            cache = self._cache
-            cache_key = scope if cache is not None else None
-            if cache is not None:
-                remaining = np.flatnonzero(miss_flat)
-                if remaining.size:
-                    probe_batch = (
-                        tile_batch()
-                        if remaining.size == rows * cols
-                        else batch_subset(tile_batch(), remaining)
-                    )
-                    with span("cache_probe"):
-                        cached_values, hit = cache.probe(cache_key, probe_batch)
-                    n_hit = int(np.count_nonzero(hit))
-                    if obs is not None:
-                        obs.cache_hits.labels(service="resilient").inc(n_hit)
-                        obs.cache_misses.labels(service="resilient").inc(
-                            remaining.size - n_hit
-                        )
-                    if n_hit:
-                        pos = remaining[hit]
-                        counts_flat[pos] = cached_values[hit]
-                        valid_flat[pos] = True
-                        primary_flat[pos] = True
-                        miss_flat[pos] = False
-
-            # Pyramid prefill: under a deadline, every tile the delta and
-            # cache could not answer is first served from the coarsest
-            # aligned pyramid level -- a complete, coarse-but-valid
-            # raster almost immediately -- then refined level-by-level
-            # while elapsed time stays inside the refinement budget.
-            # ``miss_flat`` is deliberately left untouched: the fine
-            # chunk path still owns those tiles, and because
-            # ``primary_flat`` stays False here, pyramid-served counts
-            # can never reach the tile cache or a later viewport delta.
-            psource = self._pyramid
-            steps: tuple[RefinementStep, ...] = (
-                psource.plan(region, rows, cols) if psource is not None else ()
-            )
-            levels_flat: np.ndarray | None = None
-            bound_flat: np.ndarray | None = None
-            refine_rounds = 0
-            if steps and deadline is not None:
-                pending = np.flatnonzero(miss_flat)
-                whole_raster = pending.size == rows * cols
-                if pending.size:
-                    levels_flat = np.full(rows * cols, -1, dtype=np.int64)
-                    bound_flat = np.zeros(rows * cols, dtype=np.float64)
-                    for step in steps:
-                        if refine_rounds and (
-                            self._clock() - started
-                            >= deadline * self._refine_fraction
-                        ):
-                            break
-                        with span(f"pyramid[level={step.level}]", tiles=step.tiles):
-                            step_counts, step_bound = psource.raster(
-                                step, rows, cols, field_name
-                            )
-                        if whole_raster:
-                            # The common cold-viewport case: full-array
-                            # writes instead of a 4x fancy-index gather.
-                            np.copyto(counts, step_counts)
-                            valid_flat[:] = True
-                            levels_flat[:] = step.level
-                            np.copyto(bound_flat, step_bound.reshape(-1))
-                        else:
-                            counts_flat[pending] = step_counts.reshape(-1)[pending]
-                            valid_flat[pending] = True
-                            levels_flat[pending] = step.level
-                            bound_flat[pending] = step_bound.reshape(-1)[pending]
-                        refine_rounds += 1
-                        if obs is not None:
-                            obs.pyramid_level_served.labels(
-                                service="resilient", level=str(step.level)
-                            ).inc()
-                            if refine_rounds == 1:
-                                obs.pyramid_first_raster.labels(
-                                    service="resilient"
-                                ).observe(self._clock() - started)
-                if obs is not None:
-                    obs.pyramid_refine_rounds.labels(service="resilient").observe(
-                        refine_rounds
-                    )
-
-            # The coarsest step's raster doubles as the rescue source for
-            # chunks whose fallback chain is exhausted; computed at most
-            # once, under a lock because chunks run on shard threads.
-            rescue_lock = threading.Lock()
-            rescue_state: list = []
-
-            def coarse_rescue():
-                """(level, counts, bounds) of the coarsest planned step,
-                flattened; ``None`` when no pyramid level aligns."""
-                with rescue_lock:
-                    if not rescue_state:
-                        if not steps:
-                            rescue_state.append(None)
-                        else:
-                            step = steps[0]
-                            values2d, bound2d = psource.raster(
-                                step, rows, cols, field_name
-                            )
-                            rescue_state.append(
-                                (step.level, values2d.reshape(-1), bound2d.reshape(-1))
-                            )
-                    return rescue_state[0]
-
-            # Row chunks that still have unanswered tiles, answered in
-            # waves of up to ``num_shards`` concurrent chunks.  The
-            # deadline is checked before each wave, so work in flight is
-            # never abandoned; with one shard this is exactly the
-            # sequential per-chunk check.
-            def plan_chunks() -> list[tuple[int, int, np.ndarray]]:
-                jobs: list[tuple[int, int, np.ndarray]] = []
-                unanswered = np.flatnonzero(miss_flat)
-                if unanswered.size:
-                    blocks = unanswered // (cols * self._chunk_rows)
-                    splits = np.flatnonzero(np.diff(blocks)) + 1
-                    for idx in np.split(unanswered, splits):
-                        row_lo = (
-                            int(idx[0] // cols) // self._chunk_rows * self._chunk_rows
-                        )
-                        row_hi = min(row_lo + self._chunk_rows, rows)
-                        jobs.append((row_lo, row_hi, idx))
-                return jobs
-
-            def run_chunk(job: tuple[int, int, np.ndarray]):
-                row_lo, row_hi, idx = job
-                sub = batch_subset(tile_batch(), idx)
-                chunk_started = self._clock()
-                # Budget remaining at chunk start, for deadline-aware
-                # tiers (the process-backed primary): a slow worker wave
-                # degrades inside the pool instead of overrunning the
-                # request deadline.  Floored so a chunk admitted just
-                # before expiry still gets a sliver rather than a
-                # nonsensical non-positive budget.
-                remaining = (
-                    None
-                    if deadline is None
-                    else max(deadline - (chunk_started - started), 0.01)
-                )
-                rescue: tuple[int, np.ndarray] | None = None
-                with span(f"chunk[{row_lo}:{row_hi})", tiles=len(idx)):
-                    try:
-                        values, tier = self._chain.estimate_chunk_tiered(
-                            sub, field_name, trace=trace, timeout=remaining
-                        )
-                    except EstimatorFailedError:
-                        # Exhausted chain: rescue the chunk's tiles from
-                        # the coarsest pyramid level when one aligns --
-                        # coarse-but-valid beats failing the request.
-                        source = coarse_rescue() if psource is not None else None
-                        if source is None:
-                            raise
-                        level, rescue_counts, rescue_bounds = source
-                        values = rescue_counts[idx]
-                        tier = None
-                        rescue = (level, rescue_bounds[idx])
-                return idx, sub, values, tier, self._clock() - chunk_started, rescue
-
-            wave_size = self._pool.num_shards if self._pool is not None else 1
-            position = 0
-            chunks: list[tuple[int, int, np.ndarray]] | None = None
-            while True:
-                # Chunk jobs are planned only when the deadline still has
-                # room: an expired budget with a (coarse-)complete raster
-                # exits before paying for the fine path's bookkeeping.
-                if chunks is None and not miss_flat.any():
-                    break
-                if deadline is not None and self._clock() - started >= deadline:
-                    expired = True
-                    if obs is not None:
-                        obs.deadline_expirations.labels(service="resilient").inc()
-                    # A pyramid-prefilled raster is complete (coarse but
-                    # valid everywhere), so even ``on_deadline="raise"``
-                    # degrades instead of raising.
-                    if on_deadline == "raise" and not valid.all():
-                        answered = int(valid.all(axis=1).sum())
-                        raise DeadlineExceededError(
-                            f"deadline of {deadline:.3f}s expired after answering "
-                            f"{answered} of {rows} raster rows",
-                            answered_rows=answered,
-                            total_rows=rows,
-                        )
-                    break
-                if chunks is None:
-                    with span("plan_chunks"):
-                        chunks = plan_chunks()
-                if position >= len(chunks):
-                    break
-                # Materialised here (idempotent, main thread) so shard
-                # threads in the wave below never race the lazy build.
-                tile_batch()
-                wave = chunks[position : position + wave_size]
-                position += len(wave)
-                if self._pool is not None and len(wave) > 1:
-                    outcomes = self._pool.map(run_chunk, wave)
-                else:
-                    outcomes = [run_chunk(job) for job in wave]
-                for idx, sub, values, tier, chunk_seconds, rescue in outcomes:
-                    if obs is not None:
-                        obs.stage_seconds.labels(
-                            service="resilient", stage="chunk"
-                        ).observe(chunk_seconds)
-                    counts_flat[idx] = values
-                    valid_flat[idx] = True
-                    if rescue is not None:
-                        # Pyramid-rescued: coarse-but-valid, never
-                        # primary, never cached.
-                        level, bounds = rescue
-                        if levels_flat is None:
-                            levels_flat = np.full(rows * cols, -1, dtype=np.int64)
-                            bound_flat = np.zeros(rows * cols, dtype=np.float64)
-                        levels_flat[idx] = level
-                        bound_flat[idx] = bounds
-                        if obs is not None:
-                            obs.pyramid_rescues.labels(service="resilient").inc()
-                        continue
-                    if levels_flat is not None:
-                        levels_flat[idx] = -1
-                        bound_flat[idx] = 0.0
-                    # Only authoritative answers are cached or reused by
-                    # later viewport deltas: a degraded tier's counts
-                    # must not keep serving once the primary recovers.
-                    if tier is self._chain.tiers[0]:
-                        primary_flat[idx] = True
-                        if cache_key is not None:
-                            cache.store(cache_key, sub, values)
-
-        if obs is not None:
-            elapsed = self._clock() - started
-            answered = int(valid.sum())
-            obs.requests.labels(service="resilient", relation=relation).inc()
-            obs.request_seconds.labels(service="resilient").observe(elapsed)
-            obs.tiles.labels(service="resilient", outcome="answered").inc(answered)
-            obs.tiles.labels(service="resilient", outcome="nan").inc(rows * cols - answered)
-            if deadline is not None:
-                obs.deadline_margin.labels(service="resilient").set(deadline - elapsed)
-        if trace is not None:
-            trace_attrs = trace.spans[0].attrs
-            trace_attrs["valid_fraction"] = float(valid.mean()) if valid.size else 1.0
-            trace_attrs["deadline_expired"] = expired
-        reusable = (valid_flat & primary_flat).reshape(rows, cols)
-        delta_source = DeltaSource(
-            scope=scope, reusable=None if bool(reusable.all()) else reusable
+        return self._browse(
+            region, rows, cols, relation,
+            previous=previous, session=session, deadline=deadline,
+            on_deadline=on_deadline,
         )
-        # The refinement annotation rides the result only when a pyramid
-        # level actually answered a tile the fine path never overwrote.
-        levels_arr = error_bound_arr = None
-        if levels_flat is not None and bool((levels_flat >= 0).any()):
-            levels_arr = levels_flat.reshape(rows, cols)
-            error_bound_arr = bound_flat.reshape(rows, cols)
-        if valid.all():
-            result = BrowseResult(
-                region=region,
-                relation=relation,
-                counts=counts,
-                telemetry=trace,
-                delta=delta_source,
-                levels=levels_arr,
-                error_bound=error_bound_arr,
+
+    def _answer(self, raster: RasterState, *, on_deadline: str) -> None:
+        """Pyramid prefill, then the pending tiles in row chunks through
+        the fallback chain, in waves of up to ``num_shards`` concurrent
+        chunks, with coarse rescue.  The deadline is checked before each
+        wave, so work in flight is never abandoned; with one shard this
+        is exactly the sequential per-chunk check."""
+        steps: tuple[RefinementStep, ...] = (
+            self._pyramid.plan(raster.region, raster.rows, raster.cols)
+            if self._pyramid is not None
+            else ()
+        )
+        if steps and raster.deadline is not None:
+            self._prefill(raster, steps)
+        obs = self._obs
+        deadline = raster.deadline
+        rows, cols = raster.rows, raster.cols
+        pending = raster.pending
+        chunk_rows = self._chunk_rows
+        primary = self._chain.tiers[0]
+        batch: TileQueryBatch | None = None
+        # The coarsest step's raster, computed on the first exhausted chunk.
+        rescue: tuple[int, np.ndarray, np.ndarray] | None = None
+
+        def run_chunk(job: tuple[int, int, int]):
+            row_lo, lo, hi = job
+            chunk_started = self._clock()
+            # Budget remaining at chunk start, for deadline-aware tiers
+            # (the process-backed primary): a slow worker wave degrades
+            # inside the pool instead of overrunning the request
+            # deadline.  Floored so a chunk admitted just before expiry
+            # still gets a sliver rather than a nonsensical non-positive
+            # budget.
+            remaining = (
+                None
+                if deadline is None
+                else max(deadline - (chunk_started - raster.started), 0.01)
             )
-        else:
-            result = BrowseResult(
-                region=region,
-                relation=relation,
-                counts=counts,
-                valid=valid,
-                telemetry=trace,
-                delta=delta_source,
-                levels=levels_arr,
-                error_bound=error_bound_arr,
-            )
-        if self._delta is not None:
-            self._delta.remember(session, result)
-        if obs is not None and obs.accuracy is not None:
-            obs.accuracy.observe(result, trace=trace)
-        return result
+            row_hi = min(row_lo + chunk_rows, rows)
+            with raster.span(f"chunk[{row_lo}:{row_hi})", tiles=hi - lo):
+                try:
+                    values, tier = self._chain.estimate_chunk_tiered(
+                        batch_subset(batch, slice(lo, hi)),
+                        raster.field_name,
+                        trace=raster.trace,
+                        timeout=remaining,
+                    )
+                except EstimatorFailedError:
+                    # Exhausted chain: rescued below from the coarsest
+                    # pyramid level when one aligns -- coarse-but-valid
+                    # beats failing the request.
+                    if not steps:
+                        raise
+                    values, tier = None, None
+            return raster.positions(lo, hi), values, tier, self._clock() - chunk_started
+
+        wave_size = self.num_shards
+        position = 0
+        chunks: list[tuple[int, int, int]] | None = None
+        while True:
+            # Chunk jobs are planned only when the deadline still has
+            # room: an expired budget with a (coarse-)complete raster
+            # exits before paying for the fine path's bookkeeping.
+            if chunks is None and not pending.size:
+                break
+            if deadline is not None and self._clock() - raster.started >= deadline:
+                raster.expired = True
+                if obs is not None:
+                    obs.deadline_expirations.labels(service=self.service_label).inc()
+                # A pyramid-prefilled raster is complete (coarse but
+                # valid everywhere), so even ``on_deadline="raise"``
+                # degrades instead of raising.
+                if on_deadline == "raise" and not raster.valid.all():
+                    answered = int(raster.valid.reshape(rows, cols).all(axis=1).sum())
+                    raise DeadlineExceededError(
+                        f"deadline of {deadline:.3f}s expired after answering "
+                        f"{answered} of {rows} raster rows",
+                        answered_rows=answered,
+                        total_rows=rows,
+                    )
+                break
+            if chunks is None:
+                # ``(first row, lo, hi)`` per chunk: the tiles
+                # ``pending[lo:hi]`` share one band of ``chunk_rows`` rows.
+                with raster.span("plan_chunks"):
+                    blocks = pending // (cols * chunk_rows)
+                    edges = [0, *(np.flatnonzero(np.diff(blocks)) + 1).tolist(), pending.size]
+                    chunks = [
+                        (int(blocks[lo]) * chunk_rows, lo, hi)
+                        for lo, hi in zip(edges, edges[1:])
+                    ]
+            if position >= len(chunks):
+                break
+            # Built here, on the calling thread, so shard threads in the
+            # wave below never race the lazy build.
+            batch = raster.batch()
+            wave = chunks[position : position + wave_size]
+            position += len(wave)
+            if self._pool is not None and len(wave) > 1:
+                outcomes = self._pool.map(run_chunk, wave)
+            else:
+                outcomes = [run_chunk(job) for job in wave]
+            for index, values, tier, chunk_seconds in outcomes:
+                if obs is not None:
+                    obs.stage_seconds.labels(
+                        service=self.service_label, stage="chunk"
+                    ).observe(chunk_seconds)
+                if values is None:
+                    if rescue is None:
+                        step = steps[0]
+                        counts, bounds = self._pyramid.raster(
+                            step, rows, cols, raster.field_name
+                        )
+                        rescue = (step.level, counts.reshape(-1), bounds.reshape(-1))
+                    level, counts, bounds = rescue
+                    raster.coarse(index, counts[index], level, bounds[index])
+                    if obs is not None:
+                        obs.pyramid_rescues.labels(service=self.service_label).inc()
+                else:
+                    # Only the primary tier's answers are authoritative:
+                    # a degraded tier's counts must not keep serving
+                    # from the cache or a later delta once the primary
+                    # recovers.
+                    raster.answer(index, values, authoritative=tier is primary)
+
+    def _prefill(self, raster: RasterState, steps: tuple[RefinementStep, ...]) -> None:
+        """Serve every pending tile from the coarsest aligned pyramid
+        level -- a complete, coarse-but-valid raster almost immediately
+        -- then refine level by level while elapsed time stays inside the
+        refinement budget.  The tiles stay pending, because the fine
+        chunk path still owns them, and never become authoritative, so
+        pyramid counts reach neither the tile cache nor a later delta."""
+        obs = self._obs
+        rounds = 0
+        if raster.pending.size:
+            index = raster.positions()
+            for step in steps:
+                if rounds and (
+                    self._clock() - raster.started
+                    >= raster.deadline * self._refine_fraction
+                ):
+                    break
+                with raster.span(f"pyramid[level={step.level}]", tiles=step.tiles):
+                    counts, bound = self._pyramid.raster(
+                        step, raster.rows, raster.cols, raster.field_name
+                    )
+                raster.coarse(
+                    index, counts.reshape(-1)[index], step.level, bound.reshape(-1)[index]
+                )
+                rounds += 1
+                if obs is not None:
+                    obs.pyramid_level_served.labels(
+                        service=self.service_label, level=str(step.level)
+                    ).inc()
+                    if rounds == 1:
+                        obs.pyramid_first_raster.labels(
+                            service=self.service_label
+                        ).observe(self._clock() - raster.started)
+        if obs is not None:
+            obs.pyramid_refine_rounds.labels(service=self.service_label).observe(rounds)

@@ -1,51 +1,43 @@
-"""A GeoBrowsing-style browsing service over the estimators.
+"""The browse pipeline and its plain configuration.
 
 The paper's motivating application (Section 1): a user selects a region,
 grids it into rows x columns of tiles, picks a spatial relation
 (*contains*, *contained* or *overlap*), and gets back per-tile counts to
 render as a choropleth -- hundreds of trial queries in one interaction.
 
-:class:`GeoBrowsingService` is that application built on the library's
-public API: it owns a dataset summary (any Level-2 estimator) and turns a
-``browse`` call into a count raster.  The exact evaluator plugs in the
-same way, which is how the examples show estimate-vs-exact side by side.
+:class:`BrowsePipeline` answers one interaction in five stages, written
+once: **resolve** (region, relation and tiling, or
+:class:`~repro.errors.InvalidRegionError`), **delta** (copy the tiles a
+tile-compatible previous raster of the session already answered, see
+:mod:`repro.browse.delta`), **cache** (one vectorised
+:class:`~repro.cache.TileResultCache` probe over the rest, keyed by the
+summary's identity *and generation*), **answer** (the miss set) and
+**store and assemble** (cache the authoritative answers, annotate the
+:class:`BrowseResult`, record metrics, feed the accuracy probe, remember
+the session's raster).  The two browsing services are configurations of
+it that differ only in the answer stage:
 
-Serving path: the raster's tile corners are materialised once as a
-:class:`~repro.grid.tiles_math.TileQueryBatch` and the whole interaction
-is answered through the estimator's vectorised ``estimate_batch`` -- a
-constant number of numpy gathers regardless of ``rows x cols``.  The
-original per-tile scalar loop is kept behind ``use_batch=False`` for
-parity testing and for profiling the two paths against each other;
-estimators without a native batch path are adapted transparently via
-:func:`~repro.euler.base.as_batch_estimator`.
+- :class:`GeoBrowsingService` answers the miss set with one
+  ``estimate`` span through the estimator's vectorised
+  ``estimate_batch`` (adapted by
+  :func:`~repro.euler.base.as_batch_estimator` when needed), split into
+  row bands through a :class:`~repro.parallel.executor.ParallelExecutor`
+  when ``num_shards > 1`` or ``parallel=`` is given -- threads by
+  default, shared-memory processes via ``"process"``/``"auto"``.  The
+  per-tile scalar loop behind ``use_batch=False`` is the parity
+  reference.
+- :class:`~repro.browse.resilience.ResilientBrowsingService` answers it
+  with pyramid prefill and deadline-checked row chunks through a
+  fallback chain.
 
-Two optional accelerations layer onto the batch path, both producing
-bit-identical rasters:
-
-- a :class:`~repro.cache.TileResultCache` (``cache=``) is probed once
-  per raster -- one vectorised gather answers every previously-seen tile
-  -- and only the miss-set reaches the estimator; results are keyed by
-  the backing summary's identity *and generation*, so maintained
-  histograms invalidate stale entries for free;
-- a shard count (``num_shards=``) splits the miss-set into contiguous
-  row bands dispatched through a
-  :class:`~repro.parallel.executor.ParallelExecutor` -- thread bands by
-  default (numpy kernels release the GIL, so shards overlap on
-  multi-core hosts and band-blocking keeps the single-core case ahead
-  too), or true process parallelism over shared-memory summaries via
-  ``parallel="process"``/``"auto"`` (:mod:`repro.parallel`);
-- a :class:`~repro.browse.delta.DeltaTracker` (``delta=``, or an explicit
-  ``previous=`` hint per call) overlays *viewport deltas*: when the new
-  raster is tile-compatible with the session's previous one (same
-  scope/generation, same tile extents, lattice-aligned offset -- see
-  :mod:`repro.browse.delta`), the overlapping tiles are copied from the
-  previous result and only the fresh band reaches the cache/estimator
-  path at all.
+Cached, sharded, delta-assembled and plain rasters are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,14 +45,13 @@ from functools import cached_property
 import numpy as np
 
 from repro.browse.delta import DeltaPlan, DeltaSource, DeltaTracker, plan_delta
-from repro.browse.sharding import batch_subset
+from repro.browse.sharding import ShardPool, batch_subset
 from repro.cache import CacheKey, TileResultCache, backing_summary, summary_generation, summary_token
 from repro.errors import InvalidRegionError
 from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
-from repro.euler.estimates import Level2Counts
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
-from repro.grid.tiles_math import TileQuery, aligned_query_cells
+from repro.grid.tiles_math import TileQuery, TileQueryBatch, aligned_query_cells
 from repro.obs.instruments import BrowseInstrumentation
 from repro.obs.trace import RequestTrace
 from repro.parallel.executor import ParallelConfig, ParallelExecutor
@@ -68,6 +59,7 @@ from repro.workloads.tiles import (
     browsing_tile_batch,
     browsing_tile_batch_subset,
     browsing_tiles,
+    validate_browsing_tiling,
 )
 
 __all__ = ["GeoBrowsingService", "BrowseResult", "RELATION_FIELDS"]
@@ -221,13 +213,380 @@ def resolve_browse_request(
     return region, RELATION_FIELDS[relation]
 
 
-class GeoBrowsingService:
+#: Spans recorded as ``repro_browse_stage_seconds`` samples.
+PIPELINE_STAGES = ("resolve", "delta_fill", "build_batch", "cache_probe", "estimate")
+
+
+def _no_span(name: str, **attrs):
+    return nullcontext()
+
+
+class RasterState:
+    """One request's raster on its way through the browse pipeline.
+
+    Every array is flat (row-major) over the ``rows x cols`` tiles:
+    ``counts`` (NaN until answered), ``valid`` (answered at all) and
+    ``authoritative`` (answered at full resolution by the primary
+    estimator, directly or through a delta copy or cache hit -- the only
+    tiles the cache stores and later deltas copy).  ``levels`` and
+    ``bounds`` appear once a pyramid level serves a tile.  ``pending``
+    holds, strictly ascending, the positions the delta and cache stages
+    left to the answer stage; :meth:`batch` builds their tile queries on
+    first need, so a request answered without them never pays for them.
+    """
+
+    def __init__(
+        self,
+        region: TileQuery,
+        rows: int,
+        cols: int,
+        field_name: str,
+        scope: CacheKey,
+        trace: RequestTrace | None,
+        *,
+        started: float,
+        deadline: float | None,
+    ) -> None:
+        n = rows * cols
+        self.region = region
+        self.rows = rows
+        self.cols = cols
+        self.field_name = field_name
+        self.scope = scope
+        self.trace = trace
+        self.span = trace.span if trace is not None else _no_span
+        self.started = started
+        self.deadline = deadline
+        self.expired = False
+        self.counts = np.full(n, np.nan, dtype=np.float64)
+        self.valid = np.zeros(n, dtype=bool)
+        self.authoritative = np.zeros(n, dtype=bool)
+        self.levels: np.ndarray | None = None
+        self.bounds: np.ndarray | None = None
+        self.pending = np.arange(n, dtype=np.intp)
+        self._batch: TileQueryBatch | None = None
+
+    def batch(self) -> TileQueryBatch:
+        """The pending tiles' queries, aligned with ``pending``."""
+        if self._batch is None:
+            with self.span("build_batch"):
+                if self.pending.size == self.counts.size:
+                    self._batch = browsing_tile_batch(self.region, self.rows, self.cols)
+                else:
+                    self._batch = browsing_tile_batch_subset(
+                        self.region, self.rows, self.cols, self.pending
+                    )
+        return self._batch
+
+    def narrow(self, keep: np.ndarray) -> None:
+        """Keep only the pending tiles where the boolean ``keep`` is set."""
+        self.pending = self.pending[keep]
+        if self._batch is not None:
+            self._batch = batch_subset(self._batch, keep)
+
+    def positions(self, lo: int = 0, hi: int | None = None) -> slice | np.ndarray:
+        """The flat positions of ``pending[lo:hi]``, as a slice when they
+        are contiguous (``pending`` is strictly ascending, so the two
+        endpoints decide) -- whole rows then write without a scatter."""
+        idx = self.pending[lo:hi]
+        if idx.size and idx[-1] - idx[0] == idx.size - 1:
+            return slice(int(idx[0]), int(idx[-1]) + 1)
+        return idx
+
+    def answer(self, index, values, *, authoritative: bool = True) -> None:
+        """Record full-resolution counts for the tiles at ``index``."""
+        self.counts[index] = values
+        self.valid[index] = True
+        self.authoritative[index] = authoritative
+        if self.levels is not None:
+            self.levels[index] = -1
+            self.bounds[index] = 0.0
+
+    def coarse(self, index, values, level: int, bounds) -> None:
+        """Record pyramid-level counts for the tiles at ``index``; they
+        are valid but never authoritative."""
+        if self.levels is None:
+            self.levels = np.full(self.counts.size, -1, dtype=np.int64)
+            self.bounds = np.zeros(self.counts.size, dtype=np.float64)
+        self.counts[index] = values
+        self.valid[index] = True
+        self.levels[index] = level
+        self.bounds[index] = bounds
+
+
+class BrowsePipeline:
+    """The one browse pipeline: resolve → delta → cache → answer → store
+    and assemble (see the module docstring).  A configuration overrides
+    only :meth:`_answer`, which settles the tiles the delta and cache
+    stages left pending, and ``service_label``.
+    """
+
+    #: The ``service`` label of every metric the pipeline records.
+    service_label: str
+
+    def __init__(
+        self,
+        primary: Level2BatchEstimator,
+        grid: Grid,
+        *,
+        num_shards: int,
+        instruments: BrowseInstrumentation | None,
+        cache: TileResultCache | None,
+        delta: DeltaTracker | None,
+        parallel: ParallelExecutor | None,
+        pool: ShardPool | None,
+        clock,
+    ) -> None:
+        self._primary = primary
+        self._grid = grid
+        self._num_shards = num_shards
+        self._obs = instruments
+        self._cache = cache
+        self._delta = delta
+        self._parallel = parallel
+        self._pool = pool
+        self._clock = clock
+        self._summary = backing_summary(primary)
+        self._summary_token = summary_token(self._summary)
+        self._close_lock = threading.Lock()
+        self._closed = False
+
+    @property
+    def grid(self) -> Grid:
+        """The service's evaluation grid."""
+        return self._grid
+
+    @property
+    def estimator_name(self) -> str:
+        """The primary estimator's label."""
+        return self._primary.name
+
+    @property
+    def cache(self) -> TileResultCache | None:
+        """The tile-result cache, when one was configured."""
+        return self._cache
+
+    @property
+    def num_shards(self) -> int:
+        """Requested raster fan-out (1 = no sharding)."""
+        return self._num_shards
+
+    @property
+    def parallel_executor(self) -> ParallelExecutor | None:
+        """The shard-execution router, when sharding is configured."""
+        return self._parallel
+
+    @property
+    def delta(self) -> DeltaTracker | None:
+        """The viewport-delta tracker, when one was configured."""
+        return self._delta
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run (or is running)."""
+        with self._close_lock:
+            return self._closed
+
+    def cache_key(self, field_name: str) -> CacheKey:
+        """The cache key scoping this service's authoritative answers for
+        one relation field: the primary summary's identity token and
+        *current* generation plus the primary estimator's label."""
+        return CacheKey(
+            summary_id=self._summary_token,
+            generation=summary_generation(self._summary),
+            estimator_key=self._primary.name,
+            field=field_name,
+        )
+
+    def close(self) -> None:
+        """Release the shard pools (threads, plus worker processes and
+        their shared segments under process parallelism; no-op when
+        unsharded).  Idempotent and safe to race with in-flight
+        :meth:`browse` calls, as gateway shutdown does: the first caller
+        tears down and later ones return at once, while in-flight work
+        completes because :class:`~repro.browse.sharding.ShardPool`
+        degrades to inline execution after close and the process pool
+        drains its dispatch lock before releasing segments.
+        """
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
+        for pool in (self._pool, self._parallel):
+            if pool is not None:
+                pool.close()
+
+    # ------------------------------------------------------------------ #
+    # the stages
+    # ------------------------------------------------------------------ #
+
+    def _browse(
+        self,
+        region: Rect | TileQuery,
+        rows: int,
+        cols: int,
+        relation: str,
+        *,
+        previous: BrowseResult | None,
+        session: str,
+        deadline: float | None = None,
+        reuse: bool = True,
+        **options,
+    ) -> BrowseResult:
+        """Run the stages for one request; ``options`` go to the answer
+        stage.  ``reuse=False`` skips the delta, cache and store stages."""
+        obs = self._obs
+        trace = obs.new_trace() if obs is not None else None
+        span = trace.span if trace is not None else _no_span
+        started = self._clock()
+        with span("browse", relation=relation, rows=rows, cols=cols, deadline=deadline):
+            with span("resolve"):
+                region, field_name = resolve_browse_request(self._grid, region, relation)
+                try:
+                    validate_browsing_tiling(region, rows, cols)
+                except ValueError as exc:
+                    raise InvalidRegionError(str(exc)) from exc
+            raster = RasterState(
+                region, rows, cols, field_name, self.cache_key(field_name), trace,
+                started=started, deadline=deadline,
+            )
+            if reuse:
+                self._reuse_previous(raster, previous, session)
+                self._probe_cache(raster)
+            self._answer(raster, **options)
+            if reuse:
+                self._store(raster)
+        return self._assemble(raster, relation, session, trace)
+
+    def _reuse_previous(
+        self, raster: RasterState, previous: BrowseResult | None, session: str
+    ) -> None:
+        """Delta stage: copy the tiles a tile-compatible previous raster
+        (the explicit hint, else the session's last) already answered."""
+        candidate = previous
+        if candidate is None and self._delta is not None:
+            candidate = self._delta.lookup(session)
+        plan: DeltaPlan | None = None
+        if candidate is not None:
+            plan = plan_delta(candidate, raster.region, raster.rows, raster.cols, raster.scope)
+        if plan is not None:
+            with raster.span("delta_fill", tiles=plan.n_reused):
+                plan.fill(raster.counts, candidate.counts)
+                raster.valid[plan.reused] = True
+                raster.authoritative[plan.reused] = True
+            raster.narrow(~plan.reused)
+        obs = self._obs
+        if obs is not None and (previous is not None or self._delta is not None):
+            if plan is not None:
+                outcome = "reused"
+                obs.delta_tiles_reused.labels(service=self.service_label).inc(plan.n_reused)
+            else:
+                outcome = "incompatible" if candidate is not None else "cold"
+            obs.delta_rasters.labels(service=self.service_label, outcome=outcome).inc()
+
+    def _probe_cache(self, raster: RasterState) -> None:
+        """Cache stage: one vectorised probe answers every previously
+        seen pending tile."""
+        cache = self._cache
+        if cache is None or not raster.pending.size:
+            return
+        batch = raster.batch()
+        with raster.span("cache_probe"):
+            values, hit = cache.probe(raster.scope, batch)
+        n_hit = int(np.count_nonzero(hit))
+        obs = self._obs
+        if obs is not None:
+            obs.cache_hits.labels(service=self.service_label).inc(n_hit)
+            obs.cache_misses.labels(service=self.service_label).inc(len(batch) - n_hit)
+        if n_hit:
+            raster.answer(raster.pending[hit], values[hit])
+            raster.narrow(~hit)
+
+    def _answer(self, raster: RasterState, **options) -> None:
+        """Answer stage: settle ``raster.pending`` (configurations
+        override this)."""
+        raise NotImplementedError
+
+    def _store(self, raster: RasterState) -> None:
+        """Store stage: cache the pending tiles the answer stage settled
+        authoritatively -- degraded and coarse answers never enter."""
+        if self._cache is None or not raster.pending.size:
+            return
+        keep = raster.authoritative[raster.pending]
+        if keep.any():
+            self._cache.store(
+                raster.scope, raster.batch(), raster.counts[raster.pending], mask=keep
+            )
+
+    def _assemble(
+        self,
+        raster: RasterState,
+        relation: str,
+        session: str,
+        trace: RequestTrace | None,
+    ) -> BrowseResult:
+        """Assembly: the result, its annotations and metrics, the accuracy
+        probe and the session memory."""
+        obs = self._obs
+        rows, cols = raster.rows, raster.cols
+        answered = int(np.count_nonzero(raster.valid))
+        total = rows * cols
+        if obs is not None:
+            label = self.service_label
+            elapsed = self._clock() - raster.started
+            obs.requests.labels(service=label, relation=relation).inc()
+            obs.request_seconds.labels(service=label).observe(elapsed)
+            for stage_span in trace.spans:
+                if stage_span.name in PIPELINE_STAGES:
+                    obs.stage_seconds.labels(service=label, stage=stage_span.name).observe(
+                        stage_span.seconds
+                    )
+            obs.tiles.labels(service=label, outcome="answered").inc(answered)
+            obs.tiles.labels(service=label, outcome="nan").inc(total - answered)
+            if raster.deadline is not None:
+                obs.deadline_margin.labels(service=label).set(raster.deadline - elapsed)
+            root = trace.spans[0].attrs
+            root["valid_fraction"] = answered / total
+            root["deadline_expired"] = raster.expired
+        # The refinement annotation rides the result only when a pyramid
+        # level answered a tile the fine path never overwrote.
+        levels = error_bound = None
+        if raster.levels is not None and bool((raster.levels >= 0).any()):
+            levels = raster.levels.reshape(rows, cols)
+            error_bound = raster.bounds.reshape(rows, cols)
+        reusable = raster.authoritative.reshape(rows, cols)
+        result = BrowseResult(
+            region=raster.region,
+            relation=relation,
+            counts=raster.counts.reshape(rows, cols),
+            valid=None if answered == total else raster.valid.reshape(rows, cols),
+            telemetry=trace,
+            delta=DeltaSource(
+                scope=raster.scope, reusable=None if bool(reusable.all()) else reusable
+            ),
+            levels=levels,
+            error_bound=error_bound,
+        )
+        if self._delta is not None:
+            self._delta.remember(session, result)
+        if obs is not None and obs.accuracy is not None:
+            obs.accuracy.observe(result, trace=trace)
+        return result
+
+
+class GeoBrowsingService(BrowsePipeline):
     """Browse a dataset summary with tiled relation queries.
+
+    The plain configuration of :class:`BrowsePipeline`: its answer stage
+    is one ``estimate`` span over every pending tile, through the
+    estimator's vectorised ``estimate_batch`` (or, when sharding is
+    configured, a :class:`~repro.parallel.executor.ParallelExecutor`).
 
     Pass a :class:`~repro.obs.instruments.BrowseInstrumentation` as
     ``instruments`` to record request counts, per-stage timings and tile
-    outcomes, and to get a span trace on every result's ``telemetry``;
-    the default ``None`` keeps the fast path uninstrumented.
+    outcomes, to get a span trace on every result's ``telemetry``, and
+    to let its accuracy probe (if any) sample each raster; the default
+    ``None`` keeps the fast path uninstrumented.
 
     Pass a :class:`~repro.cache.TileResultCache` as ``cache`` to reuse
     tile counts across requests (hit/miss counts are recorded when
@@ -239,6 +598,8 @@ class GeoBrowsingService:
     untouched; all are exact -- cached, sharded, delta-assembled and
     plain rasters are bit-identical.
     """
+
+    service_label = "plain"
 
     def __init__(
         self,
@@ -253,75 +614,30 @@ class GeoBrowsingService:
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        self._estimator = estimator
-        self._batch: Level2BatchEstimator = as_batch_estimator(estimator)
-        self._grid = grid
-        self._obs = instruments
-        self._cache = cache
-        self._delta = delta
-        self._summary = backing_summary(estimator)
-        self._summary_token = summary_token(self._summary)
         # ``parallel`` selects the shard execution strategy ("thread",
         # "process", "auto" or a full ParallelConfig); the default thread
         # mode reproduces the pre-executor behaviour exactly.
+        executor = None
         if num_shards > 1 or parallel is not None:
-            self._parallel: ParallelExecutor | None = ParallelExecutor(
+            executor = ParallelExecutor(
                 estimator,
                 parallel,
                 num_shards=num_shards,
                 instruments=instruments,
                 service="plain",
             )
-        else:
-            self._parallel = None
-
-    @property
-    def grid(self) -> Grid:
-        """The service's evaluation grid."""
-        return self._grid
-
-    @property
-    def estimator_name(self) -> str:
-        """The backing estimator's label."""
-        return self._estimator.name
-
-    @property
-    def cache(self) -> TileResultCache | None:
-        """The tile-result cache, when one was configured."""
-        return self._cache
-
-    @property
-    def num_shards(self) -> int:
-        """Requested raster fan-out (1 = monolithic batches)."""
-        return self._parallel.num_shards if self._parallel is not None else 1
-
-    @property
-    def parallel_executor(self) -> ParallelExecutor | None:
-        """The shard-execution router, when sharding is configured."""
-        return self._parallel
-
-    @property
-    def delta(self) -> DeltaTracker | None:
-        """The viewport-delta tracker, when one was configured."""
-        return self._delta
-
-    def cache_key(self, field_name: str) -> CacheKey:
-        """The cache key scoping this service's answers for one relation
-        field: the backing summary's identity token and *current*
-        generation plus the estimator's label."""
-        return CacheKey(
-            summary_id=self._summary_token,
-            generation=summary_generation(self._summary),
-            estimator_key=self._batch.name,
-            field=field_name,
+        super().__init__(
+            as_batch_estimator(estimator),
+            grid,
+            num_shards=num_shards,
+            instruments=instruments,
+            cache=cache,
+            delta=delta,
+            parallel=executor,
+            pool=None,
+            clock=instruments.clock if instruments is not None else time.monotonic,
         )
-
-    def close(self) -> None:
-        """Release the shard pools (threads and, when process
-        parallelism is configured, worker processes plus their shared
-        segments; no-op when unsharded)."""
-        if self._parallel is not None:
-            self._parallel.close()
+        self._estimator = estimator
 
     def browse(
         self,
@@ -359,125 +675,36 @@ class GeoBrowsingService:
             The session key under the service's
             :class:`~repro.browse.delta.DeltaTracker` (when one is
             configured): the session's last raster is the implicit
-            ``previous``, and this result replaces it.  Delta reuse rides
-            the batch path only; ``use_batch=False`` always recomputes.
+            ``previous``, and this result replaces it.  Delta reuse and
+            the cache ride the batch path only; ``use_batch=False``
+            always recomputes.
+
+        Malformed requests raise :class:`~repro.errors.InvalidRegionError`.
         """
-        obs = self._obs
-        trace = obs.new_trace() if obs is not None else None
-
-        def span(name: str, **attrs):
-            return trace.span(name, **attrs) if trace is not None else nullcontext()
-
-        started = obs.clock() if obs is not None else 0.0
-        with span("browse", relation=relation, rows=rows, cols=cols):
-            with span("resolve"):
-                region, field_name = resolve_browse_request(self._grid, region, relation)
-            scope = self.cache_key(field_name)
-
-            if use_batch:
-                candidate = previous
-                if candidate is None and self._delta is not None:
-                    candidate = self._delta.lookup(session)
-                plan: DeltaPlan | None = None
-                if candidate is not None:
-                    plan = plan_delta(candidate, region, rows, cols, scope)
-                if plan is not None:
-                    # Copy the overlap and build tile queries for the
-                    # fresh band only -- never materialise the full batch
-                    # for tiles answered from the previous raster.
-                    with span("delta_fill", tiles=plan.n_reused):
-                        counts_flat = np.empty(rows * cols, dtype=np.float64)
-                        plan.fill(counts_flat, candidate.counts)
-                    fresh = np.flatnonzero(~plan.reused)
-                    if fresh.size:
-                        with span("build_batch"):
-                            fresh_batch = browsing_tile_batch_subset(
-                                region, rows, cols, fresh
-                            )
-                        counts_flat[fresh] = self._answer_batch(
-                            fresh_batch, field_name, span
-                        )
-                    counts = counts_flat.reshape(rows, cols)
-                else:
-                    with span("build_batch"):
-                        batch = browsing_tile_batch(region, rows, cols)
-                    counts = self._answer_batch(batch, field_name, span).reshape(rows, cols)
-                if obs is not None and (previous is not None or self._delta is not None):
-                    if plan is not None:
-                        outcome = "reused"
-                        obs.delta_tiles_reused.labels(service="plain").inc(plan.n_reused)
-                    else:
-                        outcome = "incompatible" if candidate is not None else "cold"
-                    obs.delta_rasters.labels(service="plain", outcome=outcome).inc()
-            else:
-                with span("estimate", tier=self._estimator.name, path="scalar"):
-                    tiles = browsing_tiles(region, rows, cols)
-                    counts = np.zeros((rows, cols), dtype=np.float64)
-                    for r, row in enumerate(tiles):
-                        for c, tile in enumerate(row):
-                            estimate: Level2Counts = self._estimator.estimate(tile)
-                            counts[r, c] = getattr(estimate, field_name)
-        if obs is not None:
-            elapsed = obs.clock() - started
-            obs.requests.labels(service="plain", relation=relation).inc()
-            obs.request_seconds.labels(service="plain").observe(elapsed)
-            for stage_span in (trace.spans if trace is not None else ()):
-                if stage_span.name in (
-                    "resolve", "build_batch", "cache_probe", "delta_fill", "estimate"
-                ):
-                    obs.stage_seconds.labels(
-                        service="plain", stage=stage_span.name
-                    ).observe(stage_span.seconds)
-            obs.tiles.labels(service="plain", outcome="answered").inc(rows * cols)
-        result = BrowseResult(
-            region=region,
-            relation=relation,
-            counts=counts,
-            telemetry=trace,
-            delta=DeltaSource(scope=scope),
+        return self._browse(
+            region, rows, cols, relation,
+            previous=previous, session=session, reuse=use_batch, scalar=not use_batch,
         )
-        if self._delta is not None:
-            self._delta.remember(session, result)
-        return result
 
-    # ------------------------------------------------------------------ #
-    # batch execution (cache probe + sharded estimation)
-    # ------------------------------------------------------------------ #
-
-    def _answer_batch(self, batch, field_name: str, span) -> np.ndarray:
-        """Answer one raster batch: probe the cache (one gather for all
-        hits), estimate only the miss-set -- sharded when configured --
-        and back-fill the cache.  Bit-identical to a monolithic
-        ``estimate_batch`` because every tile's value is the same
-        elementwise arithmetic either way."""
-        obs = self._obs
-        cache = self._cache
-        if cache is None:
-            with span("estimate", tier=self._batch.name):
-                return self._estimate_field(batch, field_name)
-        key = self.cache_key(field_name)
-        with span("cache_probe"):
-            values, hit = cache.probe(key, batch)
-        n_miss = len(batch) - int(np.count_nonzero(hit))
-        if obs is not None:
-            obs.cache_hits.labels(service="plain").inc(len(batch) - n_miss)
-            obs.cache_misses.labels(service="plain").inc(n_miss)
-        if n_miss == 0:
-            return values
-        miss_mask = ~hit
-        miss_batch = batch_subset(batch, miss_mask)
-        with span("estimate", tier=self._batch.name, tiles=n_miss):
-            miss_values = self._estimate_field(miss_batch, field_name)
-        cache.store(key, miss_batch, miss_values)
-        values[miss_mask] = miss_values
-        return values
-
-    def _estimate_field(self, batch, field_name: str) -> np.ndarray:
-        """The requested field's counts for ``batch``, routed through
-        the parallel executor when sharding is configured (thread bands,
-        process workers or the auto policy -- all bit-identical to the
-        monolithic batch)."""
-        if self._parallel is not None:
-            return self._parallel.estimate_field(batch, field_name)
-        estimates = self._batch.estimate_batch(batch)
-        return np.asarray(getattr(estimates, field_name), dtype=np.float64)
+    def _answer(self, raster: RasterState, *, scalar: bool) -> None:
+        """One ``estimate`` span over every pending tile; ``scalar`` runs
+        the per-tile loop that is the batch path's parity reference."""
+        if scalar:
+            with raster.span("estimate", tier=self._estimator.name, path="scalar"):
+                field_name = raster.field_name
+                values = [
+                    getattr(self._estimator.estimate(tile), field_name)
+                    for row in browsing_tiles(raster.region, raster.rows, raster.cols)
+                    for tile in row
+                ]
+            raster.answer(slice(None), values)
+            return
+        if not raster.pending.size:
+            return
+        batch = raster.batch()
+        with raster.span("estimate", tier=self._primary.name, tiles=len(batch)):
+            if self._parallel is not None:
+                values = self._parallel.estimate_field(batch, raster.field_name)
+            else:
+                values = getattr(self._primary.estimate_batch(batch), raster.field_name)
+        raster.answer(raster.positions(), values)

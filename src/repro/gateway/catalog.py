@@ -12,7 +12,9 @@ artifacts.  The catalog separates what is *shared* from what must be
   safe and collapses memory to one copy per dataset.
 - **Isolated: serving state.**  Every ``(tenant, dataset)`` pair gets
   its *own* :class:`~repro.browse.resilience.ResilientBrowsingService`
-  -- its own circuit breakers (one tenant's faulty traffic cannot trip
+  (the resilient configuration of the browse pipeline, so requests run
+  the same resolve, delta, cache and assembly stages as the plain
+  service) -- its own circuit breakers (one tenant's faulty traffic cannot trip
   another tenant's tiers open) and its own session-keyed
   :class:`~repro.browse.delta.DeltaTracker` with a per-tenant session
   bound, so one tenant's pan storm evicts only its own reuse state,

@@ -1,13 +1,18 @@
 """The serving stack's pre-wired metric families.
 
-:class:`BrowseInstrumentation` is the bundle both browsing services, the
+:class:`BrowseInstrumentation` is the bundle the browse pipeline, the
 fallback chain and the circuit breakers record into: one registry, every
 family declared once up front (so the hot path never re-validates metric
 names), plus a trace factory on the same clock.  Passing one instance to
+either configuration of the pipeline --
 :class:`~repro.browse.service.GeoBrowsingService` or
-:class:`~repro.browse.resilience.ResilientBrowsingService` turns the
+:class:`~repro.browse.resilience.ResilientBrowsingService` -- turns the
 whole stack observable; passing nothing keeps the uninstrumented fast
-path literally free (a ``None`` check per call site).
+path literally free (a ``None`` check per call site).  The pipeline's
+shared assembly stage records the request, stage and tile families and
+feeds the accuracy probe for both, under their ``service`` label
+(``"plain"`` / ``"resilient"``); the tier, breaker, deadline and pyramid
+families come from the resilient answer stage alone.
 
 Exported metric names (see DESIGN.md section 11 for the full reference):
 
@@ -121,7 +126,7 @@ class BrowseInstrumentation:
         registry's clock so metrics and spans share a timeline.
     accuracy:
         An optional :class:`~repro.obs.accuracy.AccuracyProbe`; when set,
-        the resilient service feeds each answered raster through it.
+        both browsing services feed each answered raster through it.
     """
 
     def __init__(

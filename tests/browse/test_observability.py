@@ -244,6 +244,21 @@ class TestAccuracyProbe:
         assert len(probe_spans) == 1
         assert probe_spans[0].attrs["tiles_sampled"] == 8
 
+    def test_plain_service_is_sampled_too(self, grid, exact, hist):
+        registry = MetricsRegistry()
+        probe = AccuracyProbe(exact, registry, sample_size=8)
+        instruments = BrowseInstrumentation(registry, accuracy=probe)
+        service = GeoBrowsingService(SEulerApprox(hist), grid, instruments=instruments)
+        result = service.browse(REGION, rows=4, cols=6, relation="contains")
+        assert registry.get("repro_accuracy_samples_total").labels(
+            relation="contains"
+        ).value == 8
+        assert registry.get("repro_accuracy_abs_error").labels(
+            relation="contains"
+        ).count == 8
+        probe_spans = [s for s in result.telemetry.spans if s.name == "accuracy_probe"]
+        assert len(probe_spans) == 1
+
     def test_approximate_estimator_records_error_mass(self, grid, exact, hist):
         registry = MetricsRegistry()
         probe = AccuracyProbe(exact, registry, sample_size=24)

@@ -14,7 +14,9 @@ from repro.browse.resilience import (
     ResilientBrowsingService,
     RetryPolicy,
 )
-from repro.browse.service import GeoBrowsingService
+from repro.browse.delta import DeltaTracker
+from repro.browse.service import RELATION_FIELDS, GeoBrowsingService
+from repro.cache import TileResultCache
 from repro.errors import (
     BrowseError,
     DeadlineExceededError,
@@ -28,6 +30,7 @@ from repro.exact.evaluator import ExactEvaluator
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
+from repro.obs import BrowseInstrumentation
 from repro.testing.faults import (
     FaultSchedule,
     FaultyBatchEstimator,
@@ -39,6 +42,23 @@ from repro.workloads.tiles import browsing_tile_batch
 from tests.conftest import random_dataset
 
 REGION = TileQuery(0, 12, 0, 8)
+
+#: A browsing session on the 12x8-cell grid, every raster ``PARITY_ROWS``
+#: rows tall: pans east and north (delta reuse), a return to an earlier
+#: viewport and a second session repeating one (cache hits), and a
+#: re-tiling no previous raster is compatible with.
+PARITY_ROWS = 4
+PARITY_SESSION = (
+    (REGION, 6, "s"),
+    (TileQuery(0, 8, 0, 8), 4, "s"),
+    (TileQuery(2, 10, 0, 8), 4, "s"),
+    (TileQuery(4, 12, 0, 8), 4, "s"),
+    (TileQuery(0, 8, 0, 8), 4, "s"),
+    (TileQuery(0, 6, 0, 4), 3, "s"),
+    (TileQuery(0, 6, 2, 6), 3, "s"),
+    (TileQuery(0, 6, 4, 8), 3, "s"),
+    (TileQuery(2, 10, 0, 8), 4, "t"),
+)
 
 
 class FakeClock:
@@ -472,12 +492,54 @@ class TestDeadlines:
         assert excinfo.value.answered_rows == 0
         assert excinfo.value.total_rows == 4
 
-    def test_unbounded_request_matches_plain_service(self, grid, exact):
-        service = ResilientBrowsingService([exact], grid, chunk_rows=3, clock=FakeClock())
-        result = service.browse(REGION, rows=4, cols=6, relation="contains")
-        np.testing.assert_array_equal(
-            result.counts, reference_counts(exact, grid, relation="contains")
+    @pytest.mark.parametrize("num_shards", [1, 2], ids=["shards1", "shards2"])
+    @pytest.mark.parametrize(
+        "chunk_rows", [1, 3, PARITY_ROWS], ids=["chunk1", "chunk3", "chunkall"]
+    )
+    @pytest.mark.parametrize("relation", sorted(RELATION_FIELDS))
+    def test_unbounded_request_matches_plain_service(
+        self, grid, exact, relation, chunk_rows, num_shards
+    ):
+        """Without deadline pressure the two services are one pipeline:
+        over a session of pans and repeats, with a delta tracker and a
+        tile cache each, they return bit-identical rasters, leave their
+        caches in the same state and reuse the same number of tiles."""
+        plain_obs, resilient_obs = BrowseInstrumentation(), BrowseInstrumentation()
+        plain_cache, resilient_cache = TileResultCache(), TileResultCache()
+        plain = GeoBrowsingService(
+            exact, grid, instruments=plain_obs, cache=plain_cache,
+            num_shards=num_shards, delta=DeltaTracker(),
         )
+        service = ResilientBrowsingService(
+            [exact], grid, chunk_rows=chunk_rows, clock=FakeClock(),
+            instruments=resilient_obs, cache=resilient_cache,
+            num_shards=num_shards, delta=DeltaTracker(),
+        )
+        results = []
+        try:
+            for region, cols, session in PARITY_SESSION:
+                expected = plain.browse(
+                    region, PARITY_ROWS, cols, relation, session=session
+                )
+                result = service.browse(
+                    region, PARITY_ROWS, cols, relation, session=session
+                )
+                assert result.is_complete and result.full_resolution
+                np.testing.assert_array_equal(result.counts, expected.counts)
+                results.append(result)
+        finally:
+            plain.close()
+            service.close()
+        np.testing.assert_array_equal(
+            results[0].counts, reference_counts(exact, grid, relation=relation)
+        )
+        plain_stats, resilient_stats = plain_cache.stats(), resilient_cache.stats()
+        for counter in ("hits", "misses", "entries"):
+            assert resilient_stats[counter] == plain_stats[counter]
+        assert plain_stats["hits"] > 0
+        reused = plain_obs.delta_tiles_reused.labels(service="plain").value
+        assert reused > 0
+        assert resilient_obs.delta_tiles_reused.labels(service="resilient").value == reused
 
     def test_partial_raster_renders_unanswered_tiles(self, grid, exact):
         service = ResilientBrowsingService([exact], grid, clock=FakeClock())
@@ -514,6 +576,8 @@ class TestErrorTaxonomy:
             service.browse(REGION, rows=4, cols=6, relation="touches")
         with pytest.raises(ValueError):
             service.browse(REGION, rows=4, cols=6, relation="touches")
+        with pytest.raises(InvalidRegionError):
+            service.browse(REGION, rows=5, cols=7)
 
     def test_every_chain_failure_is_a_browse_error(self, grid, exact):
         """Nothing outside the taxonomy escapes the serving layer."""
