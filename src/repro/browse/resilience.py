@@ -62,11 +62,6 @@ from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery, TileQueryBatch
 from repro.obs.instruments import BrowseInstrumentation, classify_failure
 from repro.obs.trace import RequestTrace
-from repro.parallel.executor import (
-    ParallelConfig,
-    ParallelExecutor,
-    ProcessBackedEstimator,
-)
 
 __all__ = [
     "CircuitBreaker",
@@ -303,27 +298,11 @@ class FallbackChain:
         return tuple(tier.name for tier in self.tiers)
 
     def _attempt(
-        self,
-        tier: EstimatorTier,
-        batch: TileQueryBatch,
-        field_name: str,
-        timeout: float | None = None,
+        self, tier: EstimatorTier, batch: TileQueryBatch, field_name: str
     ) -> np.ndarray:
-        """One attempt on one tier; raises on any injected/real failure.
-
-        ``timeout`` is the request budget remaining when the attempt
-        started.  Tiers that can bound their own execution (the
-        process-backed primary exposes ``estimate_batch_within``)
-        receive it so a slow worker wave degrades inside the pool
-        instead of blocking past the deadline; plain tiers ignore it and
-        rely on the post-hoc ``attempt_timeout`` check.
-        """
+        """One attempt on one tier; raises on any injected/real failure."""
         started = self._clock()
-        estimator = tier.estimator
-        if timeout is not None and hasattr(estimator, "estimate_batch_within"):
-            estimates = estimator.estimate_batch_within(batch, timeout)
-        else:
-            estimates = estimator.estimate_batch(batch)
+        estimates = tier.estimator.estimate_batch(batch)
         elapsed = self._clock() - started
         if self._attempt_timeout is not None and elapsed > self._attempt_timeout:
             raise TimeoutError(
@@ -349,7 +328,6 @@ class FallbackChain:
         field_name: str,
         *,
         trace: RequestTrace | None = None,
-        timeout: float | None = None,
     ) -> tuple[np.ndarray, EstimatorTier]:
         """Answer one chunk of tile queries, falling through the chain.
 
@@ -359,8 +337,6 @@ class FallbackChain:
         Raises :class:`~repro.errors.EstimatorFailedError` when no tier
         can answer.  When a trace is given, every tier attempt is
         recorded as an ``attempt:<tier>`` span with its outcome.
-        ``timeout`` is forwarded to deadline-aware tiers (see
-        :meth:`_attempt`).
         """
         causes: list[BaseException] = []
         obs = self._obs
@@ -387,7 +363,7 @@ class FallbackChain:
                 )
                 try:
                     with span_cm:
-                        values = self._attempt(tier, batch, field_name, timeout)
+                        values = self._attempt(tier, batch, field_name)
                 except Exception as exc:
                     tier.note_failure()
                     tier.breaker.record_failure()
@@ -509,7 +485,6 @@ class ResilientBrowsingService(BrowsePipeline):
         cache: TileResultCache | None = None,
         num_shards: int = 1,
         delta: DeltaTracker | None = None,
-        parallel: ParallelConfig | str | None = None,
         pyramid: HistogramPyramid | PyramidSource | None = None,
         refine_fraction: float = 0.35,
     ) -> None:
@@ -527,25 +502,6 @@ class ResilientBrowsingService(BrowsePipeline):
             )
         if isinstance(estimators, Level2Estimator):
             estimators = [estimators]
-        # Process parallelism wraps the *primary* estimator in a
-        # ProcessBackedEstimator before the chain is built, so it only
-        # composes with the estimators form of construction.
-        executor: ParallelExecutor | None = None
-        if parallel is not None:
-            if chain is not None:
-                raise ValueError(
-                    "parallel cannot be combined with a prebuilt chain; "
-                    "pass the estimators sequence instead"
-                )
-            estimators = list(estimators)
-            executor = ParallelExecutor(
-                estimators[0],
-                parallel,
-                num_shards=num_shards,
-                instruments=instruments,
-                service="resilient",
-            )
-            estimators[0] = ProcessBackedEstimator(estimators[0], executor)
         if chain is None:
             chain = FallbackChain(
                 estimators,
@@ -564,7 +520,7 @@ class ResilientBrowsingService(BrowsePipeline):
             instruments=instruments,
             cache=cache,
             delta=delta,
-            parallel=executor,
+            parallel=None,
             pool=ShardPool(num_shards) if num_shards > 1 else None,
             clock=clock,
         )
@@ -655,17 +611,6 @@ class ResilientBrowsingService(BrowsePipeline):
         def run_chunk(job: tuple[int, int, int]):
             row_lo, lo, hi = job
             chunk_started = self._clock()
-            # Budget remaining at chunk start, for deadline-aware tiers
-            # (the process-backed primary): a slow worker wave degrades
-            # inside the pool instead of overrunning the request
-            # deadline.  Floored so a chunk admitted just before expiry
-            # still gets a sliver rather than a nonsensical non-positive
-            # budget.
-            remaining = (
-                None
-                if deadline is None
-                else max(deadline - (chunk_started - raster.started), 0.01)
-            )
             row_hi = min(row_lo + chunk_rows, rows)
             with raster.span(f"chunk[{row_lo}:{row_hi})", tiles=hi - lo):
                 try:
@@ -673,7 +618,6 @@ class ResilientBrowsingService(BrowsePipeline):
                         batch_subset(batch, slice(lo, hi)),
                         raster.field_name,
                         trace=raster.trace,
-                        timeout=remaining,
                     )
                 except EstimatorFailedError:
                     # Exhausted chain: rescued below from the coarsest

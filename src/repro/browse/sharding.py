@@ -13,7 +13,8 @@ estimating each shard separately wins twice:
   execution measures ~1.3x faster single-threaded on the full world grid
   (``BENCH_browse_cache.json``).
 
-:class:`ShardPool` sizes its worker pool to ``min(shards, cpu_count)``
+:class:`ShardPool` sizes its worker pool to ``min(shards, usable CPUs)``
+(the scheduler affinity set, see :func:`~repro.workers.usable_cpu_count`)
 and bypasses the pool entirely when only one worker is useful -- the
 single-core case keeps the blocking win without paying thread dispatch.
 Because every shard is answered by a pure batch-estimator call and the
@@ -23,7 +24,6 @@ the monolithic one.
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
@@ -31,6 +31,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from repro.grid.tiles_math import TileQueryBatch
+from repro.workers import usable_cpu_count
 
 __all__ = ["ShardPool", "band_slices", "batch_subset"]
 
@@ -62,7 +63,7 @@ class ShardPool:
     """A lazily-created thread pool for shard execution.
 
     ``num_shards`` is the requested fan-out; the actual worker count is
-    capped at the host's CPU count, and a one-worker pool degenerates to
+    capped at the CPUs this process may run on, and a one-worker pool degenerates to
     inline sequential execution (same results, no thread overhead).  The
     underlying executor is created on first parallel use and shut down by
     :meth:`close` (also a context manager exit).
@@ -73,7 +74,7 @@ class ShardPool:
             raise ValueError("num_shards must be at least 1")
         self.num_shards = num_shards
         if max_workers is None:
-            max_workers = os.cpu_count() or 1
+            max_workers = usable_cpu_count()
         self._workers = max(1, min(num_shards, max_workers))
         self._executor: ThreadPoolExecutor | None = None
         self._closed = False

@@ -195,18 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="row chunks dispatched concurrently per wave (default: 1)",
     )
     stats.add_argument(
-        "--parallel",
-        choices=("thread", "process", "auto"),
-        default="thread",
-        help="primary-tier shard execution strategy (see browse --parallel)",
-    )
-    stats.add_argument(
-        "--start-method",
-        choices=("spawn", "fork"),
-        default="spawn",
-        help="multiprocessing start method for --parallel=process/auto",
-    )
-    stats.add_argument(
         "--cache-mb",
         type=float,
         default=0.0,
@@ -547,21 +535,11 @@ def _cmd_build_zoned(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parallel_config(args: argparse.Namespace):
-    """The executor config for ``--parallel``/``--start-method``, or
-    ``None`` for the plain thread default (keeps single-shard services
-    on the unsharded fast path)."""
-    from repro.parallel import ParallelConfig
-
-    if args.parallel == "thread":
-        return None
-    return ParallelConfig(mode=args.parallel, start_method=args.start_method)
-
-
 def _cmd_browse(args: argparse.Namespace) -> int:
     from repro.browse.delta import DeltaTracker
     from repro.cache import TileResultCache
     from repro.obs import BrowseInstrumentation
+    from repro.parallel import ParallelConfig
 
     if args.shards < 1:
         print("error: --shards must be positive", file=sys.stderr)
@@ -587,7 +565,13 @@ def _cmd_browse(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         delta=tracker,
         instruments=instruments,
-        parallel=_parallel_config(args),
+        # The thread default passes None, keeping single-shard services
+        # on the unsharded fast path.
+        parallel=(
+            None
+            if args.parallel == "thread"
+            else ParallelConfig(mode=args.parallel, start_method=args.start_method)
+        ),
     )
     region = Rect(args.region[0], args.region[1], args.region[2], args.region[3])
     try:
@@ -648,9 +632,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.repeat < 1:
         print("error: --repeat must be positive", file=sys.stderr)
         return 2
-    if args.parallel == "process" and args.shards < 2:
-        print("error: --parallel=process needs --shards > 1", file=sys.stderr)
-        return 2
     if args.pyramid and args.dataset is None:
         print("error: --pyramid needs --dataset to build the levels", file=sys.stderr)
         return 2
@@ -694,7 +675,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             cache=cache,
             num_shards=args.shards,
             delta=DeltaTracker() if args.delta else None,
-            parallel=_parallel_config(args),
             pyramid=pyramid,
         )
         region = Rect(args.region[0], args.region[1], args.region[2], args.region[3])

@@ -1,10 +1,13 @@
 """Crash-tolerant process pool for zone-build workers.
 
 :class:`ZoneBuildPool` deals raw coordinate chunks round-robin to
-:func:`~repro.ingest.worker.build_worker_main` workers with bounded
+zone-build workers (:func:`repro.ingest.worker.setup`) with bounded
 in-flight depth, then drains per-worker zone partials in a finish pass.
-The failure model mirrors :class:`repro.parallel.pool.ProcessShardPool`,
-adapted to *stateful* workers:
+Spawning, the ready handshake, waits, respawn and shutdown are the
+shared :class:`~repro.workers.Supervisor`'s (the same one
+:class:`repro.parallel.pool.ProcessShardPool` runs); this module keeps
+chunk dealing, lost-chunk bookkeeping and spill cleanup -- its loss
+policy, adapted to *stateful* workers:
 
 - **crash** -- a worker accumulates state across every chunk it was
   dealt, so losing it loses all of that state, including spill files of
@@ -28,21 +31,17 @@ spilled partials stay on disk and are named by path.
 from __future__ import annotations
 
 import glob
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait as connection_wait
 
 from repro.datasets.base import RectDataset
 from repro.ingest.accumulator import ZonePartial
-from repro.ingest.worker import build_worker_main
+from repro.ingest.worker import setup
 from repro.ingest.zones import ZoneMap
+from repro.workers import Supervisor, Worker
 
 __all__ = ["IngestWorkerError", "ZoneBuildPool", "ZonePoolResult"]
-
-#: How long ``close`` waits for a worker to exit after ``stop``.
-_JOIN_TIMEOUT = 2.0
 
 #: Chunks a single worker may have queued before dispatch blocks.
 MAX_INFLIGHT = 4
@@ -67,18 +66,13 @@ class ZonePoolResult:
     objects: int = 0
 
 
-class _BuildWorker:
-    """Parent-side record of one build worker process."""
+class _BuildWorker(Worker):
+    """A build worker plus the chunks it was dealt."""
 
-    __slots__ = ("slot", "process", "conn", "ready", "pid", "label", "assigned", "inflight")
+    __slots__ = ("assigned", "inflight")
 
-    def __init__(self, slot: int, process, conn: Connection, label: str) -> None:
-        self.slot = slot
-        self.process = process
-        self.conn = conn
-        self.ready = False
-        self.pid: int | None = None
-        self.label = label
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.assigned: list[int] = []
         self.inflight = 0
 
@@ -106,114 +100,64 @@ class ZoneBuildPool:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        self._zone_map = zone_map
-        self._budget_bytes = int(budget_bytes)
         self._spill_dir = os.fspath(spill_dir)
         self._dispatch_timeout = float(dispatch_timeout)
-        self._label = label
-        self._ctx = multiprocessing.get_context(start_method)
-        self._incarnation = 0
-        self._closed = False
         self.result = ZonePoolResult()
-        self._workers: list[_BuildWorker] = [self._spawn_worker(i) for i in range(workers)]
+        self._supervisor = Supervisor(
+            setup,
+            (zone_map, int(budget_bytes), self._spill_dir),
+            count=workers,
+            start_method=start_method,
+            name=label,
+            on_loss=self._on_loss,
+            handle=_BuildWorker,
+        )
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    def _spawn_worker(self, slot: int) -> _BuildWorker:
-        self._incarnation += 1
-        label = f"{self._label}-w{slot}i{self._incarnation}"
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=build_worker_main,
-            args=(slot, child_conn, self._zone_map, self._budget_bytes, self._spill_dir, label),
-            name=f"repro-{label}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _BuildWorker(slot, process, parent_conn, label)
+    @property
+    def _workers(self) -> list[_BuildWorker]:
+        return self._supervisor.workers
 
-    def _crash(self, worker: _BuildWorker, *, respawn: bool = True) -> None:
+    def _spill_files(self, worker: Worker) -> list[str]:
+        return glob.glob(os.path.join(self._spill_dir, f"{worker.label}-*.npz"))
+
+    def _on_loss(self, worker: _BuildWorker, reason: str) -> None:
         """A worker is dead or condemned: all chunks it ever saw are
-        lost, its spill files are garbage, and (optionally) a fresh
-        worker takes over its slot for future chunks."""
+        lost (the pipeline replays them) and its spill files are
+        garbage."""
         self.result.crashes += 1
         self.result.lost_chunks.extend(worker.assigned)
         worker.assigned.clear()
         worker.inflight = 0
-        worker.ready = False
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(_JOIN_TIMEOUT)
-        for path in glob.glob(os.path.join(self._spill_dir, f"{worker.label}-*.npz")):
+        for path in self._spill_files(worker):
             try:
                 os.unlink(path)
             except OSError:  # pragma: no cover
                 pass
-        if respawn and not self._closed:
-            self._workers[worker.slot] = self._spawn_worker(worker.slot)
 
     def ensure_ready(self, timeout: float = 10.0) -> int:
         """Wait up to ``timeout`` for workers to report ready; returns
-        the number ready.  Init failures count as crashes and respawn
-        once; persistently failing slots stay not-ready (the pipeline
-        falls back to inline construction when none come up)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            starting = [w for w in self._workers if not w.ready and not w.conn.closed]
-            if not starting:
-                break
-            remaining = max(deadline - time.monotonic(), 0.0)
-            ready_objs = connection_wait([w.conn for w in starting], timeout=remaining)
-            if not ready_objs:
-                break
-            for w in starting:
-                if w.conn not in ready_objs:
-                    continue
-                try:
-                    message = w.conn.recv()
-                except (EOFError, OSError):
-                    self._crash(w)
-                    continue
-                if message[0] == "ready":
-                    w.ready = True
-                    w.pid = message[2]
-                elif message[0] == "init_error":
-                    self._crash(w)
-        return sum(1 for w in self._workers if w.ready)
+        the number ready.  Init failures count as crashes and respawn;
+        persistently failing slots stay not-ready (the pipeline falls
+        back to inline construction when none come up)."""
+        return self._supervisor.ensure_ready(timeout)
 
     def worker_pids(self) -> list[int]:
         """PIDs of the ready workers (fault-injection tests kill these)."""
-        return [w.pid for w in self._workers if w.ready and w.pid is not None]
+        return self._supervisor.worker_pids()
 
     def close(self) -> None:
         """Stop every worker and delete any spill files not handed over
         in a ``result`` (idempotent)."""
-        if self._closed:
+        if self._supervisor.closed:
             return
-        self._closed = True
-        for w in self._workers:
-            try:
-                w.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
+        self._supervisor.close()
         handed_over = set(self.result.spill_paths)
         for w in self._workers:
-            w.process.join(_JOIN_TIMEOUT)
-            if w.process.is_alive():  # pragma: no cover - stuck worker
-                w.process.terminate()
-                w.process.join(_JOIN_TIMEOUT)
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            for path in glob.glob(os.path.join(self._spill_dir, f"{w.label}-*.npz")):
+            for path in self._spill_files(w):
                 if path not in handed_over:
                     try:
                         os.unlink(path)
@@ -232,46 +176,24 @@ class ZoneBuildPool:
 
     def _handle_message(self, worker: _BuildWorker, message: tuple) -> None:
         kind = message[0]
-        if kind == "ready":
-            worker.ready = True
-            worker.pid = message[2]
-        elif kind == "done":
+        if kind == "done":
             worker.inflight = max(worker.inflight - 1, 0)
             self.result.objects += int(message[2])
         elif kind == "error":
             raise IngestWorkerError(
                 f"worker {worker.slot} failed on chunk {message[1]}: {message[2]}"
             )
-        # "result" is consumed by drain(); anything else is ignored.
+        # "ready" is applied by the supervisor; "result" is consumed by
+        # drain(); anything else is ignored.
 
     def _poll(self, timeout: float) -> bool:
         """Wait for any pipe or sentinel event and process it.  Returns
         ``False`` when nothing happened within ``timeout``."""
-        conns = {w.conn: w for w in self._workers if not w.conn.closed}
-        sentinels = {w.process.sentinel: w for w in self._workers if w.process.is_alive()}
-        if not conns and not sentinels:
-            return False
-        ready_objs = connection_wait(list(conns) + list(sentinels), timeout=timeout)
-        if not ready_objs:
-            return False
-        for obj in ready_objs:
-            worker = conns.get(obj) or sentinels.get(obj)
-            if worker is None or worker.conn.closed:
-                continue
-            if obj is not worker.conn:
-                # Sentinel fired: only a crash if the pipe has nothing
-                # left to say (a worker that exited after its "result"
-                # is fine -- drain consumes the message first).
-                if not worker.conn.poll():
-                    self._crash(worker)
-                continue
-            try:
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                self._crash(worker)
-                continue
-            self._handle_message(worker, message)
-        return True
+        events = self._supervisor.wait(self._workers, timeout)
+        for worker, message in events:
+            if message is not None:
+                self._handle_message(worker, message)
+        return bool(events)
 
     def dispatch(self, chunk_index: int, chunk: RectDataset) -> bool:
         """Deal one raw chunk to the least-loaded ready worker, blocking
@@ -280,19 +202,11 @@ class ZoneBuildPool:
         caller accumulates it inline instead)."""
         deadline = time.monotonic() + self._dispatch_timeout
         while True:
-            candidates = [
-                w
-                for w in self._workers
-                if w.ready and w.process.is_alive() and w.inflight < MAX_INFLIGHT
-            ]
+            candidates = [w for w in self._supervisor.ready() if w.inflight < MAX_INFLIGHT]
             if candidates:
                 worker = min(candidates, key=lambda w: (w.inflight, w.slot))
-                try:
-                    worker.conn.send(
-                        ("chunk", chunk_index, chunk.x_lo, chunk.x_hi, chunk.y_lo, chunk.y_hi)
-                    )
-                except (BrokenPipeError, OSError):
-                    self._crash(worker)
+                message = ("chunk", chunk_index, chunk.x_lo, chunk.x_hi, chunk.y_lo, chunk.y_hi)
+                if not self._supervisor.send(worker, message):
                     continue
                 worker.assigned.append(chunk_index)
                 worker.inflight += 1
@@ -301,9 +215,9 @@ class ZoneBuildPool:
             if remaining <= 0:
                 # Stalled: condemn the busy workers (their chunks replay
                 # inline) rather than hanging the build.
-                for w in self._workers:
+                for w in list(self._workers):
                     if w.inflight:
-                        self._crash(w)
+                        self._supervisor.lose(w, "stall")
                 return False
             self._poll(min(remaining, 1.0))
 
@@ -311,50 +225,29 @@ class ZoneBuildPool:
         """Wait out the in-flight chunks, ask every worker to finish and
         collect the ``result`` replies.  Workers that crash or stall
         forfeit their chunks to :attr:`ZonePoolResult.lost_chunks`."""
+        supervisor = self._supervisor
         deadline = time.monotonic() + timeout
         while any(w.inflight for w in self._workers):
             if not self._poll(max(min(deadline - time.monotonic(), 1.0), 0.0)):
                 if time.monotonic() >= deadline:
                     for w in self._workers:
                         if w.inflight:
-                            self._crash(w, respawn=False)
+                            supervisor.lose(w, "stall", respawn=False)
                     break
 
-        finishing: list[_BuildWorker] = []
-        for w in self._workers:
-            if not (w.ready and w.process.is_alive()):
-                continue
-            try:
-                w.conn.send(("finish",))
-                finishing.append(w)
-            except (BrokenPipeError, OSError):
-                self._crash(w, respawn=False)
-
-        pending = set(finishing)
+        pending = {
+            w for w in supervisor.ready() if supervisor.send(w, ("finish",), respawn=False)
+        }
         while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                for w in list(pending):
-                    self._crash(w, respawn=False)
+                for w in pending:
+                    supervisor.lose(w, "stall", respawn=False)
                 break
-            conns = {w.conn: w for w in pending}
-            sentinels = {w.process.sentinel: w for w in pending if w.process.is_alive()}
-            ready_objs = connection_wait(list(conns) + list(sentinels), timeout=remaining)
-            for obj in ready_objs:
-                worker = conns.get(obj, sentinels.get(obj))
-                if worker is None or worker not in pending:
-                    continue
-                if obj is not worker.conn and not worker.conn.poll():
+            for worker, message in supervisor.wait(list(pending), remaining, respawn=False):
+                if message is None:
                     pending.discard(worker)
-                    self._crash(worker, respawn=False)
-                    continue
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    pending.discard(worker)
-                    self._crash(worker, respawn=False)
-                    continue
-                if message[0] == "result":
+                elif message[0] == "result":
                     pending.discard(worker)
                     _, _, partials, spill_paths, stats = message
                     self.result.partials.extend(partials)

@@ -1,25 +1,26 @@
-"""The zone-build worker loop: snap, route, accumulate, hand back partials.
+"""The zone-build worker: snap, route, accumulate, hand back partials.
 
-A build worker's whole life:
+Each build worker runs :func:`repro.workers.run_worker` with
+:func:`setup`, which constructs a
+:class:`~repro.ingest.accumulator.ZoneAccumulator` over the shipped
+:class:`~repro.ingest.zones.ZoneMap`'s grid (its spill files are
+namespaced by the worker's incarnation label) and registers two
+handlers:
 
-1. construct a :class:`~repro.ingest.accumulator.ZoneAccumulator` over
-   the shipped :class:`~repro.ingest.zones.ZoneMap`'s grid, send
-   ``("ready", index, pid)``;
-2. loop on the pipe:
+- ``("chunk", chunk_index, x_lo, x_hi, y_lo, y_hi)`` -- snap the raw
+  world-coordinate columns to lattice spans, route them to zones and
+  scatter into the accumulator; reply ``("done", chunk_index, n)``.  A
+  failure becomes the supervisor's ``("error", chunk_index, repr)`` -- a
+  data or accumulator error is a build-aborting bug, not a crash to
+  mask.
+- ``("finish",)`` -- export the live zones as in-memory partials and
+  reply ``("result", label, partials, spill_paths, stats)``.
 
-   - ``("chunk", chunk_index, x_lo, x_hi, y_lo, y_hi)`` -- snap the raw
-     world-coordinate columns to lattice spans, route them to zones and
-     scatter into the accumulator; reply ``("done", chunk_index, n)``.
-     Any failure replies ``("error", chunk_index, repr)`` -- a data or
-     accumulator error is a build-aborting bug, not a crash to mask.
-   - ``("finish",)`` -- export the live zones as in-memory partials and
-     reply ``("result", index, partials, spill_paths, stats)``.
-   - ``("stop",)`` -- exit.
-
-Each worker owns builders for **every** zone it happens to see: the
-parent round-robins raw chunks instead of routing by zone, which keeps
-the parent's per-chunk work at one pipe send and parallelises the
-dominant snap+scatter cost.  Difference-domain accumulation is exact and
+The handshake and ``stop`` are the shared supervisor's.  Each worker
+owns builders for **every** zone it happens to see: the parent
+round-robins raw chunks instead of routing by zone, which keeps the
+parent's per-chunk work at one pipe send and parallelises the dominant
+snap+scatter cost.  Difference-domain accumulation is exact and
 order-independent, so per-zone partials from different workers merge
 bit-identically to a single-builder build no matter how chunks were
 dealt.
@@ -30,8 +31,7 @@ re-import it by qualified name.
 
 from __future__ import annotations
 
-import os
-from multiprocessing.connection import Connection
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.grid.grid import Grid
 from repro.ingest.accumulator import ZoneAccumulator
 from repro.ingest.zones import ZoneMap
 
-__all__ = ["build_worker_main", "snap_columns"]
+__all__ = ["setup", "snap_columns"]
 
 
 def snap_columns(
@@ -62,69 +62,25 @@ def snap_columns(
     )
 
 
-def build_worker_main(
-    worker_index: int,
-    conn: Connection,
-    zone_map: ZoneMap,
-    budget_bytes: int,
-    spill_dir: str,
-    label: str,
-) -> None:
-    """Entry point of one zone-build worker process (see module docstring)."""
-    try:
-        try:
-            accumulator = ZoneAccumulator(
-                zone_map.grid, budget_bytes, spill_dir, label=label
-            )
-        except BaseException as exc:
-            conn.send(("init_error", worker_index, repr(exc)))
-            return
-        conn.send(("ready", worker_index, os.getpid()))
+def setup(
+    _stack: ExitStack, label: str, zone_map: ZoneMap, budget_bytes: int, spill_dir: str
+) -> dict:
+    """Build the worker's accumulator and return its handlers."""
+    accumulator = ZoneAccumulator(zone_map.grid, budget_bytes, spill_dir, label=label)
 
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                # Parent vanished; exit quietly.
-                return
-            kind = message[0]
-            if kind == "stop":
-                return
-            if kind == "chunk":
-                _, chunk_index, x_lo, x_hi, y_lo, y_hi = message
-                try:
-                    a_lo, a_hi, b_lo, b_hi = snap_columns(
-                        zone_map.grid, x_lo, x_hi, y_lo, y_hi
-                    )
-                    zones = zone_map.zone_of_spans(a_lo, a_hi, b_lo, b_hi)
-                    accumulator.add_spans(zones, a_lo, a_hi, b_lo, b_hi)
-                except BaseException as exc:
-                    try:
-                        conn.send(("error", chunk_index, repr(exc)))
-                    except (BrokenPipeError, OSError):  # pragma: no cover
-                        return
-                    continue
-                conn.send(("done", chunk_index, int(np.asarray(x_lo).size)))
-            elif kind == "finish":
-                try:
-                    partials = accumulator.finish()
-                    stats = {
-                        "objects": accumulator.objects,
-                        "spills": accumulator.spills,
-                        "peak_bytes": accumulator.peak_bytes,
-                    }
-                    conn.send(
-                        ("result", worker_index, partials, list(accumulator.spill_paths), stats)
-                    )
-                except BaseException as exc:
-                    try:
-                        conn.send(("error", None, repr(exc)))
-                    except (BrokenPipeError, OSError):  # pragma: no cover
-                        return
-            else:  # pragma: no cover - protocol guard
-                conn.send(("error", None, f"unknown message {kind!r}"))
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
+    def chunk(chunk_index: int, x_lo, x_hi, y_lo, y_hi) -> tuple:
+        a_lo, a_hi, b_lo, b_hi = snap_columns(zone_map.grid, x_lo, x_hi, y_lo, y_hi)
+        zones = zone_map.zone_of_spans(a_lo, a_hi, b_lo, b_hi)
+        accumulator.add_spans(zones, a_lo, a_hi, b_lo, b_hi)
+        return ("done", chunk_index, int(np.asarray(x_lo).size))
+
+    def finish() -> tuple:
+        partials = accumulator.finish()
+        stats = {
+            "objects": accumulator.objects,
+            "spills": accumulator.spills,
+            "peak_bytes": accumulator.peak_bytes,
+        }
+        return ("result", label, partials, list(accumulator.spill_paths), stats)
+
+    return {"chunk": chunk, "finish": finish}

@@ -22,12 +22,8 @@ the next one.  Staleness is checked on every process routing -- if the
 backing summary's generation has moved past the pool's exported
 snapshot, auto falls back to threads (forced ``process`` raises), and
 the workers would refuse the task anyway (defence in depth; see
-DESIGN.md section 14).
-
-:class:`ProcessBackedEstimator` adapts the executor back to the batch
-estimator protocol so the resilient service's fallback chain can route
-its primary tier's chunks through the pool -- with a ``timeout`` so a
-slow worker wave degrades instead of blowing the request deadline.
+DESIGN.md section 14).  Only the plain service holds an executor: the
+resilient service runs its chunk waves on a thread ``ShardPool``.
 """
 
 from __future__ import annotations
@@ -39,8 +35,7 @@ import numpy as np
 from repro.browse.sharding import ShardPool, band_slices, batch_subset
 from repro.cache.keys import backing_summary, summary_generation
 from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
-from repro.euler.estimates import Level2Counts, Level2CountsBatch
-from repro.grid.tiles_math import TileQuery, TileQueryBatch
+from repro.grid.tiles_math import TileQueryBatch
 from repro.obs.instruments import BrowseInstrumentation
 from repro.parallel.pool import (
     DEFAULT_CAPACITY,
@@ -50,7 +45,7 @@ from repro.parallel.pool import (
 from repro.parallel.shm import StaleSummaryError
 from repro.parallel.spec import UnsupportedEstimatorError
 
-__all__ = ["ParallelConfig", "ParallelExecutor", "ProcessBackedEstimator"]
+__all__ = ["ParallelConfig", "ParallelExecutor"]
 
 #: Valid ``ParallelConfig.mode`` values.
 MODES = ("thread", "process", "auto")
@@ -108,10 +103,9 @@ class ParallelConfig:
 class ParallelExecutor:
     """Routes raster batches across the thread and process pools.
 
-    Owns both pools; :meth:`estimate_field` is the browsing services'
-    shard-execution entry point and :meth:`estimate_counts` the full
-    four-field variant the resilient chain consumes.  Both are
-    bit-identical to inline ``estimate_batch`` regardless of route.
+    Owns both pools; :meth:`estimate_field` is the plain browsing
+    service's shard-execution entry point, bit-identical to inline
+    ``estimate_batch`` regardless of route.
     """
 
     def __init__(
@@ -213,34 +207,16 @@ class ParallelExecutor:
         pool.ensure_ready(0.0)
         return pool.ready_count() > 0
 
-    def estimate_field(
-        self, batch: TileQueryBatch, field_name: str, *, timeout: float | None = None
-    ) -> np.ndarray:
+    def estimate_field(self, batch: TileQueryBatch, field_name: str) -> np.ndarray:
         """One count field for ``batch``, routed per the mode (see the
         module docstring); always bit-identical to inline."""
         n = len(batch)
         if self._route_to_process(n):
             try:
-                return self._process_pool.estimate_field(
-                    batch, field_name, timeout=timeout
-                )
+                return self._process_pool.estimate_field(batch, field_name)
             except PoolUnavailableError:
                 pass  # closed under us: degrade to threads
         return self._thread_estimate_field(batch, field_name)
-
-    def estimate_counts(
-        self, batch: TileQueryBatch, *, timeout: float | None = None
-    ) -> Level2CountsBatch:
-        """All four count fields for ``batch`` -- the resilient chain's
-        chunk path.  Process-routed when eligible, else inline (thread
-        sharding is pointless here: the resilient service already
-        parallelises across chunks)."""
-        if self._route_to_process(len(batch)):
-            try:
-                return self._process_pool.estimate_batch(batch, timeout=timeout)
-            except PoolUnavailableError:
-                pass
-        return self._batch.estimate_batch(batch)
 
     def _thread_estimate_field(self, batch: TileQueryBatch, field_name: str) -> np.ndarray:
         slices = band_slices(len(batch), self.num_shards)
@@ -261,48 +237,3 @@ class ParallelExecutor:
             obs.shard_seconds.labels(service=self._service).observe(obs.clock() - started)
         return values
 
-
-class ProcessBackedEstimator:
-    """The executor wearing the batch-estimator protocol.
-
-    Drops into the resilient service's fallback chain as the primary
-    tier: ``estimate_batch`` routes through the executor (and so the
-    process pool when eligible) and ``estimate_batch_within`` adds the
-    deadline the chain's wave loop computes -- a slow worker wave
-    degrades inside the pool, never blocks the request past its budget.
-
-    ``name`` and ``wrapped`` forward to the inner estimator so cache
-    keys and :func:`~repro.cache.keys.backing_summary` resolution are
-    identical to serving the inner estimator directly -- parallelism
-    must never change what a cache entry means.
-    """
-
-    def __init__(self, inner: Level2Estimator, executor: ParallelExecutor) -> None:
-        self._inner = inner
-        self._inner_batch = as_batch_estimator(inner)
-        self._executor = executor
-
-    @property
-    def name(self) -> str:
-        """The inner estimator's label (cache-key identity)."""
-        return self._inner.name
-
-    @property
-    def wrapped(self) -> Level2Estimator:
-        """The inner estimator (``backing_summary`` unwraps this)."""
-        return self._inner
-
-    def estimate(self, query: TileQuery) -> Level2Counts:
-        """Scalar queries never benefit from the pool; go inline."""
-        return self._inner.estimate(query)
-
-    def estimate_batch(self, queries: TileQueryBatch) -> Level2CountsBatch:
-        return self._executor.estimate_counts(queries)
-
-    def estimate_batch_within(
-        self, queries: TileQueryBatch, timeout: float | None
-    ) -> Level2CountsBatch:
-        """``estimate_batch`` with a time budget forwarded to the pool
-        (overruns terminate stragglers and recompute inline -- degrade,
-        never hang)."""
-        return self._executor.estimate_counts(queries, timeout=timeout)

@@ -15,7 +15,10 @@ costs only:
 
 No query or result data ever crosses a pipe, so the per-dispatch
 overhead is microseconds and a long-lived pool amortises worker startup
-across every raster of a browsing session.
+across every raster of a browsing session.  Spawning, the ready
+handshake, loss and respawn and shutdown are the shared
+:class:`~repro.workers.Supervisor`'s; this module keeps only band
+dispatch over the shared buffers and its loss policy.
 
 Failure model (exercised by the fault harness, ``testing/faults.py``):
 
@@ -42,12 +45,10 @@ inline ones.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 import weakref
 from multiprocessing import shared_memory
-from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Callable
 
 import numpy as np
@@ -60,17 +61,14 @@ from repro.grid.tiles_math import TileQueryBatch
 from repro.obs.instruments import BrowseInstrumentation
 from repro.parallel.shm import SharedSummaryStore
 from repro.parallel.spec import EstimatorSpec, export_estimator
-from repro.parallel.worker import QUERY_ROWS, RESULT_ROWS, worker_main
+from repro.parallel.worker import QUERY_ROWS, RESULT_ROWS, setup
+from repro.workers import Supervisor, Worker, usable_cpu_count
 
 __all__ = ["PoolUnavailableError", "ProcessShardPool", "WorkerEstimateError"]
 
 #: Default capacity (tiles) of the shared query/result buffers; larger
 #: rasters are dispatched in capacity-sized rounds.
 DEFAULT_CAPACITY = 1 << 17
-
-#: How long :meth:`ProcessShardPool.close` waits for a worker to exit
-#: after ``stop`` before terminating it.
-_JOIN_TIMEOUT = 2.0
 
 
 class PoolUnavailableError(RuntimeError):
@@ -101,19 +99,6 @@ def _cleanup_buffers(buffers: list[shared_memory.SharedMemory]) -> None:
     buffers.clear()
 
 
-class _Worker:
-    """Parent-side record of one worker process."""
-
-    __slots__ = ("index", "process", "conn", "ready", "pid")
-
-    def __init__(self, index: int, process, conn: Connection) -> None:
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.ready = False
-        self.pid: int | None = None
-
-
 class ProcessShardPool:
     """Process-parallel ``estimate_batch`` over shared summary arrays.
 
@@ -126,7 +111,8 @@ class ProcessShardPool:
         anything else.
     num_shards:
         Requested raster fan-out; the worker count is
-        ``min(num_shards, max_workers or cpu_count)``.
+        ``min(num_shards, max_workers or usable CPUs)`` (the scheduler
+        affinity set, see :func:`~repro.workers.usable_cpu_count`).
     start_method:
         ``"spawn"`` (default; portable, slower startup) or ``"fork"``.
     capacity:
@@ -135,7 +121,7 @@ class ProcessShardPool:
         Bands are never smaller than this (tiny bands are all dispatch
         overhead).
     dispatch_timeout:
-        Per-round budget when the caller passes no explicit timeout.
+        Per-round budget; overruns degrade to inline recomputation.
     spec_transform:
         Test hook: rewrites the exported spec before workers receive it
         (the fault harness wraps specs in crashing ones).
@@ -184,8 +170,6 @@ class ProcessShardPool:
             raise
         if spec_transform is not None:
             spec = spec_transform(spec)
-        self._spec = spec
-        self._manifest = self._store.manifest
 
         # Plain (headerless) I/O buffers, owned and unlinked by the pool.
         self._buffers: list[shared_memory.SharedMemory] = []
@@ -208,52 +192,33 @@ class ProcessShardPool:
             (len(RESULT_ROWS), self._capacity), dtype=np.float64, buffer=self._result_shm.buf
         )
 
-        self._ctx = multiprocessing.get_context(start_method)
-        n_workers = max_workers if max_workers is not None else self._ctx.cpu_count() or 1
+        n_workers = max_workers if max_workers is not None else usable_cpu_count()
         self._num_workers = max(1, min(num_shards, n_workers))
-        self._workers: list[_Worker] = [
-            self._spawn_worker(i) for i in range(self._num_workers)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _spawn_worker(self, index: int) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                index,
-                child_conn,
-                self._manifest,
-                self._spec,
+        self._supervisor = Supervisor(
+            setup,
+            (
+                self._store.manifest,
+                spec,
                 self._generation,
                 self._query_shm.name,
                 self._result_shm.name,
                 self._capacity,
             ),
-            name=f"repro-shard-{index}",
-            daemon=True,
+            count=self._num_workers,
+            start_method=start_method,
+            name="shard",
+            on_loss=self._on_loss,
         )
-        process.start()
-        child_conn.close()
-        return _Worker(index, process, parent_conn)
 
-    def _respawn(self, worker: _Worker, reason: str) -> None:
-        """Replace a dead or terminated worker and count the loss."""
+    # ------------------------------------------------------------------ #
+    # lifecycle
+    # ------------------------------------------------------------------ #
+
+    def _on_loss(self, worker: Worker, reason: str) -> None:
+        """Count a lost worker (its band is recomputed by the caller)."""
         self._crashes += 1
         if self._obs is not None:
             self._obs.worker_crashes.labels(service=self._service, reason=reason).inc()
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(_JOIN_TIMEOUT)
-        if not self._closed:
-            self._workers[worker.index] = self._spawn_worker(worker.index)
 
     def ensure_ready(self, timeout: float = 10.0) -> int:
         """Wait up to ``timeout`` for starting workers to report ready;
@@ -264,42 +229,11 @@ class ProcessShardPool:
         failed (``init_error``) or died before reporting is counted as a
         crash and respawned; persistent failures leave it not-ready."""
         with self._lock:
-            return self._ensure_ready_locked(timeout)
-
-    def _ensure_ready_locked(self, timeout: float) -> int:
-        deadline = time.monotonic() + timeout
-        while True:
-            # Dead not-ready workers stay in the scan: their pipe reads
-            # EOF below and they are respawned, instead of being
-            # silently lost for the pool's lifetime.
-            starting = [w for w in self._workers if not w.ready and not w.conn.closed]
-            if not starting:
-                break
-            # Clamp instead of breaking: even past the deadline (or with
-            # timeout=0) one non-blocking connection_wait pass runs, so
-            # already-pending messages are always consumed.
-            remaining = max(deadline - time.monotonic(), 0.0)
-            ready_objs = connection_wait([w.conn for w in starting], timeout=remaining)
-            if not ready_objs:
-                break
-            for w in starting:
-                if w.conn not in ready_objs:
-                    continue
-                try:
-                    message = w.conn.recv()
-                except (EOFError, OSError):
-                    self._respawn(w, "crash")
-                    continue
-                if message[0] == "ready":
-                    w.ready = True
-                    w.pid = message[2]
-                elif message[0] == "init_error":
-                    self._respawn(w, "init_error")
-        return sum(1 for w in self._workers if w.ready)
+            return self._supervisor.ensure_ready(timeout)
 
     def ready_count(self) -> int:
         """Workers currently ready, without waiting."""
-        return sum(1 for w in self._workers if w.ready and w.process.is_alive())
+        return len(self._supervisor.ready())
 
     @property
     def workers(self) -> int:
@@ -318,7 +252,7 @@ class ProcessShardPool:
 
     def worker_pids(self) -> list[int]:
         """PIDs of the ready workers (the fault harness kills these)."""
-        return [w.pid for w in self._workers if w.ready and w.pid is not None]
+        return self._supervisor.worker_pids()
 
     def close(self) -> None:
         """Stop the workers and release every shared segment
@@ -328,20 +262,7 @@ class ProcessShardPool:
             if self._closed:
                 return
             self._closed = True
-            for w in self._workers:
-                try:
-                    w.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-            for w in self._workers:
-                w.process.join(_JOIN_TIMEOUT)
-                if w.process.is_alive():  # pragma: no cover - stuck worker
-                    w.process.terminate()
-                    w.process.join(_JOIN_TIMEOUT)
-                try:
-                    w.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+            self._supervisor.close()
             _cleanup_buffers(self._buffers)
             self._buffer_finalizer.detach()
             self._store.close()
@@ -356,13 +277,11 @@ class ProcessShardPool:
     # dispatch
     # ------------------------------------------------------------------ #
 
-    def estimate_batch(
-        self, batch: TileQueryBatch, *, timeout: float | None = None
-    ) -> Level2CountsBatch:
+    def estimate_batch(self, batch: TileQueryBatch) -> Level2CountsBatch:
         """Process-sharded counts for ``batch``; bit-identical to the
-        inline ``estimate_batch``.  ``timeout`` bounds each dispatch
-        round -- overruns degrade to inline recomputation of the late
-        bands, never to a hang or a partial answer."""
+        inline ``estimate_batch``.  Each dispatch round is bounded by
+        ``dispatch_timeout`` -- overruns degrade to inline recomputation
+        of the late bands, never to a hang or a partial answer."""
         n = len(batch)
         out = np.empty((len(RESULT_ROWS), n), dtype=np.float64)
         started = time.monotonic() if self._obs is not None else 0.0
@@ -372,31 +291,24 @@ class ProcessShardPool:
             # Non-blocking drain of pending "ready" messages, so workers
             # respawned after a crash rejoin the fan-out instead of the
             # pool silently decaying to inline execution.
-            self._ensure_ready_locked(0.0)
+            self._supervisor.ensure_ready(0.0)
             for lo in range(0, max(n, 1), self._capacity):
                 hi = min(lo + self._capacity, n)
-                self._dispatch_round(batch, lo, hi, out, timeout)
+                self._dispatch_round(batch, lo, hi, out)
         if self._obs is not None:
             self._obs.parallel_dispatch_seconds.labels(service=self._service).observe(
                 time.monotonic() - started
             )
         return Level2CountsBatch(out[0], out[1], out[2], out[3])
 
-    def estimate_field(
-        self, batch: TileQueryBatch, field_name: str, *, timeout: float | None = None
-    ) -> np.ndarray:
+    def estimate_field(self, batch: TileQueryBatch, field_name: str) -> np.ndarray:
         """One count field for ``batch`` (including the derived
         ``n_intersect``), as the browsing services consume it."""
-        counts = self.estimate_batch(batch, timeout=timeout)
+        counts = self.estimate_batch(batch)
         return np.asarray(getattr(counts, field_name), dtype=np.float64)
 
     def _dispatch_round(
-        self,
-        batch: TileQueryBatch,
-        lo: int,
-        hi: int,
-        out: np.ndarray,
-        timeout: float | None,
+        self, batch: TileQueryBatch, lo: int, hi: int, out: np.ndarray
     ) -> None:
         """One capacity-bounded round: fan bands of ``batch[lo:hi)`` out
         to the ready workers, inline-compute whatever cannot be (no
@@ -410,95 +322,63 @@ class ProcessShardPool:
         self._qbuf[2, :m] = chunk.qy_lo
         self._qbuf[3, :m] = chunk.qy_hi
 
-        ready = [w for w in self._workers if w.ready and w.process.is_alive()]
+        supervisor = self._supervisor
+        ready = supervisor.ready()
         inline_slices: list[slice] = []
         if not ready:
             inline_slices.append(slice(0, m))
         else:
             slices = band_slices(m, min(self.num_shards, len(ready)), min_shard=self._min_shard)
-            pending: dict[Connection, tuple[_Worker, int, slice]] = {}
-            sentinel_owner = {}
+            pending: dict[Worker, tuple[int, slice]] = {}
             for band, worker in zip(slices, ready):
                 self._task_counter += 1
-                try:
-                    worker.conn.send(
-                        ("task", self._task_counter, band.start, band.stop, self._generation)
-                    )
-                except (BrokenPipeError, OSError):
-                    self._respawn(worker, "crash")
+                task = ("task", self._task_counter, band.start, band.stop, self._generation)
+                if supervisor.send(worker, task):
+                    pending[worker] = (self._task_counter, band)
+                else:
                     inline_slices.append(band)
-                    continue
-                pending[worker.conn] = (worker, self._task_counter, band)
-                sentinel_owner[worker.process.sentinel] = worker.conn
             inline_slices.extend(slices[len(ready):])
 
-            deadline = time.monotonic() + (
-                timeout if timeout is not None else self._dispatch_timeout
-            )
+            deadline = time.monotonic() + self._dispatch_timeout
             while pending:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     # Budget exhausted: kill the stragglers so a late
                     # write can never land in a reused result buffer,
                     # then recompute their bands inline.
-                    for conn, (worker, _, band) in list(pending.items()):
-                        self._respawn(worker, "timeout")
+                    for worker, (_, band) in pending.items():
+                        supervisor.lose(worker, "timeout")
                         inline_slices.append(band)
-                    pending.clear()
                     break
-                ready_objs = connection_wait(
-                    list(pending) + list(sentinel_owner), timeout=remaining
-                )
-                for obj in ready_objs:
-                    conn = sentinel_owner.get(obj, obj)
-                    entry = pending.get(conn)
-                    if entry is None:
-                        continue
-                    worker, task_id, band = entry
-                    if obj is not conn:
-                        # Process sentinel fired: the worker died
-                        # mid-task.  Its band is recomputed inline.
-                        del pending[conn]
-                        del sentinel_owner[worker.process.sentinel]
-                        self._respawn(worker, "crash")
+                for worker, message in supervisor.wait(list(pending), remaining):
+                    task_id, band = pending[worker]
+                    if message is None:
+                        # The worker died mid-task (and was respawned);
+                        # its band is recomputed inline.
+                        del pending[worker]
                         inline_slices.append(band)
                         continue
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        del pending[conn]
-                        del sentinel_owner[worker.process.sentinel]
-                        self._respawn(worker, "crash")
-                        inline_slices.append(band)
-                        continue
-                    kind = message[0]
-                    if kind in ("done", "stale", "error") and message[1] != task_id:
+                    if message[1] != task_id:
                         # A reply from a task abandoned by an earlier
                         # timeout/error; the band was already handled.
                         continue
-                    if kind == "done":
-                        del pending[conn]
-                        del sentinel_owner[worker.process.sentinel]
+                    del pending[worker]
+                    if message[0] == "done":
                         out[:, lo + band.start : lo + band.stop] = self._rbuf[
                             :, band.start : band.stop
                         ]
-                    elif kind == "stale":
-                        del pending[conn]
-                        del sentinel_owner[worker.process.sentinel]
+                    elif message[0] == "stale":
                         inline_slices.append(band)
-                    elif kind == "error":
-                        del pending[conn]
-                        del sentinel_owner[worker.process.sentinel]
+                    elif message[0] == "error":
                         # The error aborts the round, but other bands
                         # are still in flight: terminate those workers
                         # (as the timeout branch does) so a straggler's
                         # late write can never land in the reused result
                         # buffer of a subsequent dispatch.
-                        for _, (straggler, _sid, _sband) in list(pending.items()):
-                            self._respawn(straggler, "abort")
-                        pending.clear()
+                        for straggler in pending:
+                            supervisor.lose(straggler, "abort")
                         raise WorkerEstimateError(
-                            f"worker {worker.index} failed on tiles "
+                            f"worker {worker.slot} failed on tiles "
                             f"[{lo + band.start}, {lo + band.stop}): {message[2]}"
                         )
 

@@ -1,12 +1,13 @@
-"""The process-pool worker loop: attach once, answer offset messages.
+"""The process-pool worker: attach once, answer offset messages.
 
-A worker's whole life:
+Each worker runs :func:`repro.workers.run_worker` with :func:`setup`,
+which:
 
-1. attach the summary segments named in the manifest (refusing a stale
-   generation) and ``spec.build`` the estimator over the shared views;
-2. attach the pool's shared *query* buffer (four int64 corner rows) and
+1. attaches the summary segments named in the manifest (refusing a stale
+   generation) and ``spec.build``\\ s the estimator over the shared views;
+2. attaches the pool's shared *query* buffer (four int64 corner rows) and
    *result* buffer (four float64 count rows);
-3. send ``("ready", index, pid)`` and loop on the pipe:
+3. registers one handler:
 
    - ``("task", task_id, lo, hi, generation)`` -- zero-copy a
      :class:`TileQueryBatch` out of the query-buffer columns
@@ -15,9 +16,9 @@ A worker's whole life:
      ``("done", task_id, lo, hi)``.  A generation mismatch replies
      ``("stale", task_id, ...)`` instead -- a stale worker must refuse
      to answer, never guess.
-   - ``("stop",)`` -- detach and exit.
 
-Per-task traffic is therefore a handful of integers each way; the
+The handshake, ``stop`` and ``error`` replies are the shared
+supervisor's.  Per-task traffic is a handful of integers each way; the
 queries and results themselves never cross the pipe.  The parent owns
 both buffers and slices results out *after* the ``done`` reply, so a
 worker that dies mid-write can never corrupt an acknowledged result.
@@ -28,9 +29,8 @@ workers re-import it by qualified name.
 
 from __future__ import annotations
 
-import os
+from contextlib import ExitStack
 from multiprocessing import shared_memory
-from multiprocessing.connection import Connection
 from typing import Mapping
 
 import numpy as np
@@ -39,7 +39,7 @@ from repro.euler.base import as_batch_estimator
 from repro.grid.tiles_math import TileQueryBatch
 from repro.parallel.shm import attach_store
 
-__all__ = ["worker_main"]
+__all__ = ["setup"]
 
 #: Rows of the shared query buffer, in order.
 QUERY_ROWS = ("qx_lo", "qx_hi", "qy_lo", "qy_hi")
@@ -47,87 +47,46 @@ QUERY_ROWS = ("qx_lo", "qx_hi", "qy_lo", "qy_hi")
 RESULT_ROWS = ("n_d", "n_cs", "n_cd", "n_o")
 
 
-def _attach_plain(name: str, dtype: np.dtype, shape: tuple[int, ...]):
+def _attach_plain(stack: ExitStack, name: str, dtype: type, rows: int, capacity: int):
     """Attach one of the pool's plain (headerless) I/O buffers."""
     shm = shared_memory.SharedMemory(name=name)
-    return shm, np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+    stack.callback(shm.close)
+    return np.ndarray((rows, capacity), dtype=dtype, buffer=shm.buf)
 
 
-def worker_main(
-    worker_index: int,
-    conn: Connection,
+def setup(
+    stack: ExitStack,
+    _label: str,
     manifest: Mapping[str, str],
     spec: object,
     generation: int,
     query_name: str,
     result_name: str,
     capacity: int,
-) -> None:
-    """Entry point of one pool worker process (see module docstring)."""
-    attached = None
-    query_shm = result_shm = None
-    try:
-        try:
-            attached = attach_store(dict(manifest), expected_generation=generation)
-            estimator = as_batch_estimator(spec.build(attached.arrays))
-            query_shm, queries = _attach_plain(
-                query_name, np.dtype(np.int64), (len(QUERY_ROWS), capacity)
-            )
-            result_shm, results = _attach_plain(
-                result_name, np.dtype(np.float64), (len(RESULT_ROWS), capacity)
-            )
-        except BaseException as exc:
-            conn.send(("init_error", worker_index, repr(exc)))
-            return
-        conn.send(("ready", worker_index, os.getpid()))
+) -> dict:
+    """Attach everything once and return the ``task`` handler."""
+    attached = attach_store(dict(manifest), expected_generation=generation)
+    stack.callback(attached.close)
+    estimator = as_batch_estimator(spec.build(attached.arrays))
+    queries = _attach_plain(stack, query_name, np.int64, len(QUERY_ROWS), capacity)
+    results = _attach_plain(stack, result_name, np.float64, len(RESULT_ROWS), capacity)
 
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                # Parent vanished; exit quietly.
-                return
-            if message[0] == "stop":
-                return
-            if message[0] != "task":  # pragma: no cover - protocol guard
-                conn.send(("error", None, f"unknown message {message[0]!r}"))
-                continue
-            _, task_id, lo, hi, task_generation = message
-            try:
-                if task_generation != attached.generation:
-                    conn.send(
-                        (
-                            "stale",
-                            task_id,
-                            f"worker holds generation {attached.generation}, "
-                            f"task expects {task_generation}",
-                        )
-                    )
-                    continue
-                batch = TileQueryBatch(
-                    queries[0, lo:hi], queries[1, lo:hi], queries[2, lo:hi], queries[3, lo:hi]
-                )
-                counts = estimator.estimate_batch(batch)
-                results[0, lo:hi] = counts.n_d
-                results[1, lo:hi] = counts.n_cs
-                results[2, lo:hi] = counts.n_cd
-                results[3, lo:hi] = counts.n_o
-                conn.send(("done", task_id, lo, hi))
-            except BaseException as exc:
-                try:
-                    conn.send(("error", task_id, repr(exc)))
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    return
-    finally:
-        if attached is not None:
-            attached.close()
-        for shm in (query_shm, result_shm):
-            if shm is not None:
-                try:
-                    shm.close()
-                except OSError:  # pragma: no cover
-                    pass
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
+    def task(task_id: int, lo: int, hi: int, task_generation: int) -> tuple:
+        if task_generation != attached.generation:
+            return (
+                "stale",
+                task_id,
+                f"worker holds generation {attached.generation}, "
+                f"task expects {task_generation}",
+            )
+        batch = TileQueryBatch(
+            queries[0, lo:hi], queries[1, lo:hi], queries[2, lo:hi], queries[3, lo:hi]
+        )
+        counts = estimator.estimate_batch(batch)
+        results[0, lo:hi] = counts.n_d
+        results[1, lo:hi] = counts.n_cs
+        results[2, lo:hi] = counts.n_cd
+        results[3, lo:hi] = counts.n_o
+        return ("done", task_id, lo, hi)
+
+    return {"task": task}

@@ -1,4 +1,4 @@
-"""Process parallelism wired through the browsing services.
+"""Process parallelism wired through the plain browsing service.
 
 These tests pin down the *service-level* contract of
 :mod:`repro.parallel`: a ``parallel=`` policy must never change what a
@@ -15,16 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.browse.resilience import ResilientBrowsingService
 from repro.browse.service import GeoBrowsingService
 from repro.euler.histogram import EulerHistogram
 from repro.euler.maintained import MaintainedEulerHistogram
 from repro.euler.simple import SEulerApprox
-from repro.exact.evaluator import ExactEvaluator
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
 from repro.obs.instruments import BrowseInstrumentation
-from repro.parallel.executor import ParallelConfig, ProcessBackedEstimator
+from repro.parallel.executor import ParallelConfig
 
 from tests.conftest import random_dataset
 
@@ -140,70 +138,3 @@ class TestGeoBrowsingService:
         finally:
             service.close()
         assert obs.shard_pool_workers.labels(service="plain").value == 0
-
-
-class TestResilientBrowsingService:
-    def test_process_raster_matches_plain(self, grid, estimator, baseline):
-        service = ResilientBrowsingService(
-            estimator, grid, chunk_rows=16, num_shards=4, parallel=process_config()
-        )
-        try:
-            primary = service.chain.tiers[0]
-            assert isinstance(primary.estimator, ProcessBackedEstimator)
-            result = service.browse(
-                TileQuery(0, grid.n1, 0, grid.n2), 90, 120, "overlap"
-            )
-            assert result.is_complete
-            np.testing.assert_array_equal(result.counts, baseline.counts)
-        finally:
-            service.close()
-
-    def test_fallback_chain_is_preserved(self, grid, dataset, estimator, baseline):
-        # The process wrapper applies to the primary tier only; the
-        # fallback tiers answer exactly as before.
-        fallback = ExactEvaluator(dataset, grid)
-        service = ResilientBrowsingService(
-            [estimator, fallback],
-            grid,
-            chunk_rows=16,
-            num_shards=2,
-            parallel=process_config(),
-        )
-        try:
-            assert len(service.chain.tiers) == 2
-            assert not isinstance(
-                service.chain.tiers[1].estimator, ProcessBackedEstimator
-            )
-            result = service.browse(
-                TileQuery(0, grid.n1, 0, grid.n2), 90, 120, "overlap"
-            )
-            np.testing.assert_array_equal(result.counts, baseline.counts)
-        finally:
-            service.close()
-
-    def test_parallel_rejects_prebuilt_chain(self, grid, estimator):
-        from repro.browse.resilience import FallbackChain
-
-        chain = FallbackChain([estimator])
-        with pytest.raises(ValueError, match="chain"):
-            ResilientBrowsingService(
-                estimator, grid, chain=chain, parallel=process_config()
-            )
-
-    def test_deadline_still_enforced_with_process_pool(self, grid, estimator):
-        # A zero budget must degrade (partial raster), never block on
-        # the pool: wave dispatch checks the deadline between waves.
-        service = ResilientBrowsingService(
-            estimator,
-            grid,
-            chunk_rows=8,
-            num_shards=2,
-            parallel=process_config(),
-        )
-        try:
-            result = service.browse(
-                TileQuery(0, grid.n1, 0, grid.n2), 90, 120, deadline=0.0
-            )
-            assert not result.is_complete
-        finally:
-            service.close()

@@ -214,3 +214,47 @@ def test_pool_spills_are_deleted_on_close(grid, tmp_path):
     assert not list(tmp_path.glob("*.npz"))
     # close() is idempotent.
     pool.close()
+
+
+def _fail_first_worker_init(monkeypatch, flag, fail):
+    """Make the first build worker to start fail its init via ``fail``;
+    every later worker (the respawn included) comes up normally.  Fork
+    children inherit the patched worker module."""
+    import repro.ingest.worker as worker_module
+
+    real = worker_module.ZoneAccumulator
+
+    def accumulator(*args, **kwargs):
+        try:
+            os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return real(*args, **kwargs)
+        fail()
+
+    monkeypatch.setattr(worker_module, "ZoneAccumulator", accumulator)
+
+
+def _die():
+    os._exit(1)
+
+
+def _raise():
+    raise RuntimeError("deliberate init failure")
+
+
+@pytest.mark.parametrize("fail", [_die, _raise], ids=["exits-during-init", "init-error"])
+def test_worker_lost_before_ready_is_respawned(source, grid, direct, tmp_path, monkeypatch, fail):
+    # A worker that dies before "ready" (silently, or with an
+    # "init_error" reply) is counted as a crash and its slot respawned,
+    # so the build still runs on the full pool.
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    _fail_first_worker_init(monkeypatch, tmp_path / "failed-once", fail)
+    result = build_zoned(
+        source, grid, zones=24, workers=2, start_method="fork", memory_mb=64,
+        spill_dir=spill_dir,
+    )
+    assert result.report.crashes == 1
+    assert result.report.workers == 2
+    assert result.report.chunks_pool == source.num_chunks
+    np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
