@@ -1,4 +1,5 @@
-"""Parallel raster sweep: inline vs thread vs process, plain vs resilient.
+"""Parallel raster sweep: inline vs thread vs process, plus the resilient
+service's inline chunks.
 
 Times one full-grid browse raster over an Euler-family summary for every
 point of the sweep
@@ -16,9 +17,8 @@ point of the sweep
     summaries;
   - ``resilient_inline`` --
     :class:`~repro.browse.resilience.ResilientBrowsingService` with the
-    default ``chunk_rows`` and one shard (chunks run one after another);
-  - ``resilient_thread`` -- the same with ``num_shards`` chunks per
-    thread wave.
+    default ``chunk_rows`` (chunks run one after another; the service
+    has no parallel mode).
 
 Every configuration's raster is asserted bit-identical to
 ``plain_inline`` before any timing is believed.  The timing rounds
@@ -77,7 +77,6 @@ CONFIGS = (
     "plain_thread",
     "plain_process",
     "resilient_inline",
-    "resilient_thread",
 )
 
 
@@ -98,7 +97,6 @@ def _services(estimator, grid) -> dict:
             parallel=ParallelConfig(mode="process", start_method="fork"),
         ),
         "resilient_inline": ResilientBrowsingService(estimator, grid),
-        "resilient_thread": ResilientBrowsingService(estimator, grid, num_shards=WORKERS),
     }
 
 

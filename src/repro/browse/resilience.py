@@ -52,7 +52,7 @@ import numpy as np
 from repro.browse.delta import DeltaTracker
 from repro.browse.refine import PyramidSource, RefinementStep
 from repro.browse.service import BrowsePipeline, BrowseResult, RasterState
-from repro.browse.sharding import ShardPool, batch_subset
+from repro.browse.sharding import batch_subset
 from repro.cache import TileResultCache
 from repro.errors import DeadlineExceededError, EstimatorFailedError
 from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
@@ -73,6 +73,10 @@ __all__ = [
 
 #: ``clock()`` -> seconds; monotonic in production, fake under test.
 Clock = Callable[[], float]
+
+#: Fraction of a deadline budget the pyramid refinement ladder may spend
+#: before yielding to the fine chunk path.
+REFINE_FRACTION = 0.35
 
 
 @dataclass(frozen=True)
@@ -205,9 +209,9 @@ class EstimatorTier:
     """One estimator in a fallback chain, with its breaker and stats.
 
     Stat updates go through :meth:`note_attempt`/:meth:`note_failure`/
-    :meth:`note_success`, which are lock-guarded so chunks executing on
-    shard threads never lose increments; the counters themselves stay
-    plain ints for cheap reads.
+    :meth:`note_success`, which are lock-guarded so concurrent requests
+    on one service (the gateway's worker threads) never lose increments;
+    the counters themselves stay plain ints for cheap reads.
     """
 
     def __init__(self, estimator: Level2Estimator, breaker: CircuitBreaker) -> None:
@@ -419,7 +423,7 @@ class ResilientBrowsingService(BrowsePipeline):
     ----------
     estimators:
         The fallback chain, primary first (a single estimator works
-        too); or pass a prebuilt :class:`FallbackChain` via ``chain``.
+        too).
     grid:
         The service's evaluation grid.
     chunk_rows:
@@ -440,12 +444,6 @@ class ResilientBrowsingService(BrowsePipeline):
         Only *primary-tier* answers are stored or reused -- a degraded
         (fallback) answer must not keep serving after the primary
         recovers.
-    num_shards:
-        When > 1, up to this many row chunks are dispatched concurrently
-        per *wave* on a :class:`~repro.browse.sharding.ShardPool`.  The
-        deadline is checked between waves (a wave in flight is never
-        abandoned), which generalises the sequential per-chunk check;
-        with the default 1 the behaviour is exactly the sequential one.
     pyramid:
         An optional :class:`~repro.euler.pyramid.HistogramPyramid` (or a
         prebuilt :class:`~repro.browse.refine.PyramidSource`) whose
@@ -454,16 +452,13 @@ class ResilientBrowsingService(BrowsePipeline):
         answered by delta/cache is first served from the coarsest
         aligned pyramid level -- a complete, coarse-but-valid raster
         almost immediately -- then refined level-by-level while elapsed
-        time stays under ``refine_fraction`` of the budget, and the fine
+        time stays under :data:`REFINE_FRACTION` of the budget, and the fine
         chunk path overwrites whatever it reaches in time.  A chunk whose
         fallback chain is exhausted is likewise rescued from the coarsest
         level instead of failing the request.  Pyramid-served tiles carry
         their level and error bound on the result (``levels`` /
         ``error_bound``) and are *never* written to the tile cache or
         reused by viewport deltas.
-    refine_fraction:
-        Fraction of the deadline budget the refinement ladder may spend
-        before yielding to the fine chunk path (default 0.35).
     """
 
     service_label = "resilient"
@@ -480,20 +475,13 @@ class ResilientBrowsingService(BrowsePipeline):
         attempt_timeout: float | None = None,
         clock: Clock = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        chain: FallbackChain | None = None,
         instruments: BrowseInstrumentation | None = None,
         cache: TileResultCache | None = None,
-        num_shards: int = 1,
         delta: DeltaTracker | None = None,
         pyramid: HistogramPyramid | PyramidSource | None = None,
-        refine_fraction: float = 0.35,
     ) -> None:
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be at least 1")
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        if not 0.0 < refine_fraction <= 1.0:
-            raise ValueError("refine_fraction must be in (0, 1]")
         if pyramid is not None and not isinstance(pyramid, PyramidSource):
             pyramid = PyramidSource(pyramid, grid=grid)
         elif isinstance(pyramid, PyramidSource) and pyramid.grid != grid:
@@ -502,32 +490,28 @@ class ResilientBrowsingService(BrowsePipeline):
             )
         if isinstance(estimators, Level2Estimator):
             estimators = [estimators]
-        if chain is None:
-            chain = FallbackChain(
-                estimators,
-                failure_threshold=failure_threshold,
-                cooldown=cooldown,
-                retry=retry,
-                attempt_timeout=attempt_timeout,
-                clock=clock,
-                sleep=sleep,
-                instruments=instruments,
-            )
+        chain = FallbackChain(
+            estimators,
+            failure_threshold=failure_threshold,
+            cooldown=cooldown,
+            retry=retry,
+            attempt_timeout=attempt_timeout,
+            clock=clock,
+            sleep=sleep,
+            instruments=instruments,
+        )
         super().__init__(
             chain.tiers[0].estimator,
             grid,
-            num_shards=num_shards,
             instruments=instruments,
             cache=cache,
             delta=delta,
             parallel=None,
-            pool=ShardPool(num_shards) if num_shards > 1 else None,
             clock=clock,
         )
         self._chain = chain
         self._chunk_rows = chunk_rows
         self._pyramid = pyramid
-        self._refine_fraction = refine_fraction
 
     @property
     def chain(self) -> FallbackChain:
@@ -586,11 +570,10 @@ class ResilientBrowsingService(BrowsePipeline):
         )
 
     def _answer(self, raster: RasterState, *, on_deadline: str) -> None:
-        """Pyramid prefill, then the pending tiles in row chunks through
-        the fallback chain, in waves of up to ``num_shards`` concurrent
-        chunks, with coarse rescue.  The deadline is checked before each
-        wave, so work in flight is never abandoned; with one shard this
-        is exactly the sequential per-chunk check."""
+        """Pyramid prefill, then the pending tiles one row chunk at a time
+        through the fallback chain, with coarse rescue.  The deadline is
+        checked before each chunk and after the last, so a chunk in
+        flight is never abandoned."""
         steps: tuple[RefinementStep, ...] = (
             self._pyramid.plan(raster.region, raster.rows, raster.cols)
             if self._pyramid is not None
@@ -598,19 +581,27 @@ class ResilientBrowsingService(BrowsePipeline):
         )
         if steps and raster.deadline is not None:
             self._prefill(raster, steps)
-        obs = self._obs
-        deadline = raster.deadline
-        rows, cols = raster.rows, raster.cols
+        # Chunks are planned only when the deadline still has room: an
+        # expired budget with a (coarse-)complete raster exits before
+        # paying for the fine path's bookkeeping.
         pending = raster.pending
+        if not pending.size or self._expired(raster, on_deadline):
+            return
+        obs = self._obs
+        rows, cols = raster.rows, raster.cols
         chunk_rows = self._chunk_rows
         primary = self._chain.tiers[0]
-        batch: TileQueryBatch | None = None
         # The coarsest step's raster, computed on the first exhausted chunk.
         rescue: tuple[int, np.ndarray, np.ndarray] | None = None
-
-        def run_chunk(job: tuple[int, int, int]):
-            row_lo, lo, hi = job
+        # The tiles ``pending[lo:hi]`` of one chunk share one band of
+        # ``chunk_rows`` rows.
+        with raster.span("plan_chunks"):
+            blocks = pending // (cols * chunk_rows)
+            edges = [0, *(np.flatnonzero(np.diff(blocks)) + 1).tolist(), pending.size]
+        batch = raster.batch()
+        for lo, hi in zip(edges, edges[1:]):
             chunk_started = self._clock()
+            row_lo = int(blocks[lo]) * chunk_rows
             row_hi = min(row_lo + chunk_rows, rows)
             with raster.span(f"chunk[{row_lo}:{row_hi})", tiles=hi - lo):
                 try:
@@ -625,77 +616,55 @@ class ResilientBrowsingService(BrowsePipeline):
                     # beats failing the request.
                     if not steps:
                         raise
-                    values, tier = None, None
-            return raster.positions(lo, hi), values, tier, self._clock() - chunk_started
-
-        wave_size = self.num_shards
-        position = 0
-        chunks: list[tuple[int, int, int]] | None = None
-        while True:
-            # Chunk jobs are planned only when the deadline still has
-            # room: an expired budget with a (coarse-)complete raster
-            # exits before paying for the fine path's bookkeeping.
-            if chunks is None and not pending.size:
-                break
-            if deadline is not None and self._clock() - raster.started >= deadline:
-                raster.expired = True
-                if obs is not None:
-                    obs.deadline_expirations.labels(service=self.service_label).inc()
-                # A pyramid-prefilled raster is complete (coarse but
-                # valid everywhere), so even ``on_deadline="raise"``
-                # degrades instead of raising.
-                if on_deadline == "raise" and not raster.valid.all():
-                    answered = int(raster.valid.reshape(rows, cols).all(axis=1).sum())
-                    raise DeadlineExceededError(
-                        f"deadline of {deadline:.3f}s expired after answering "
-                        f"{answered} of {rows} raster rows",
-                        answered_rows=answered,
-                        total_rows=rows,
+                    values = tier = None
+            index = raster.positions(lo, hi)
+            if obs is not None:
+                obs.stage_seconds.labels(
+                    service=self.service_label, stage="chunk"
+                ).observe(self._clock() - chunk_started)
+            if values is None:
+                if rescue is None:
+                    step = steps[0]
+                    counts, bounds = self._pyramid.raster(
+                        step, rows, cols, raster.field_name
                     )
-                break
-            if chunks is None:
-                # ``(first row, lo, hi)`` per chunk: the tiles
-                # ``pending[lo:hi]`` share one band of ``chunk_rows`` rows.
-                with raster.span("plan_chunks"):
-                    blocks = pending // (cols * chunk_rows)
-                    edges = [0, *(np.flatnonzero(np.diff(blocks)) + 1).tolist(), pending.size]
-                    chunks = [
-                        (int(blocks[lo]) * chunk_rows, lo, hi)
-                        for lo, hi in zip(edges, edges[1:])
-                    ]
-            if position >= len(chunks):
-                break
-            # Built here, on the calling thread, so shard threads in the
-            # wave below never race the lazy build.
-            batch = raster.batch()
-            wave = chunks[position : position + wave_size]
-            position += len(wave)
-            if self._pool is not None and len(wave) > 1:
-                outcomes = self._pool.map(run_chunk, wave)
-            else:
-                outcomes = [run_chunk(job) for job in wave]
-            for index, values, tier, chunk_seconds in outcomes:
+                    rescue = (step.level, counts.reshape(-1), bounds.reshape(-1))
+                level, counts, bounds = rescue
+                raster.coarse(index, counts[index], level, bounds[index])
                 if obs is not None:
-                    obs.stage_seconds.labels(
-                        service=self.service_label, stage="chunk"
-                    ).observe(chunk_seconds)
-                if values is None:
-                    if rescue is None:
-                        step = steps[0]
-                        counts, bounds = self._pyramid.raster(
-                            step, rows, cols, raster.field_name
-                        )
-                        rescue = (step.level, counts.reshape(-1), bounds.reshape(-1))
-                    level, counts, bounds = rescue
-                    raster.coarse(index, counts[index], level, bounds[index])
-                    if obs is not None:
-                        obs.pyramid_rescues.labels(service=self.service_label).inc()
-                else:
-                    # Only the primary tier's answers are authoritative:
-                    # a degraded tier's counts must not keep serving
-                    # from the cache or a later delta once the primary
-                    # recovers.
-                    raster.answer(index, values, authoritative=tier is primary)
+                    obs.pyramid_rescues.labels(service=self.service_label).inc()
+            else:
+                # Only the primary tier's answers are authoritative: a
+                # degraded tier's counts must not keep serving from the
+                # cache or a later delta once the primary recovers.
+                raster.answer(index, values, authoritative=tier is primary)
+            if self._expired(raster, on_deadline):
+                return
+
+    def _expired(self, raster: RasterState, on_deadline: str) -> bool:
+        """Whether the request's deadline has run out; if so, marks the
+        raster expired and, under ``on_deadline="raise"``, raises
+        :class:`~repro.errors.DeadlineExceededError` unless the raster
+        is already complete."""
+        deadline = raster.deadline
+        if deadline is None or self._clock() - raster.started < deadline:
+            return False
+        raster.expired = True
+        if self._obs is not None:
+            self._obs.deadline_expirations.labels(service=self.service_label).inc()
+        # A pyramid-prefilled raster is complete (coarse but valid
+        # everywhere), so even ``on_deadline="raise"`` degrades instead
+        # of raising.
+        if on_deadline == "raise" and not raster.valid.all():
+            rows = raster.rows
+            answered = int(raster.valid.reshape(rows, raster.cols).all(axis=1).sum())
+            raise DeadlineExceededError(
+                f"deadline of {deadline:.3f}s expired after answering "
+                f"{answered} of {rows} raster rows",
+                answered_rows=answered,
+                total_rows=rows,
+            )
+        return True
 
     def _prefill(self, raster: RasterState, steps: tuple[RefinementStep, ...]) -> None:
         """Serve every pending tile from the coarsest aligned pyramid
@@ -711,7 +680,7 @@ class ResilientBrowsingService(BrowsePipeline):
             for step in steps:
                 if rounds and (
                     self._clock() - raster.started
-                    >= raster.deadline * self._refine_fraction
+                    >= raster.deadline * REFINE_FRACTION
                 ):
                     break
                 with raster.span(f"pyramid[level={step.level}]", tiles=step.tiles):

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.browse.delta import DeltaPlan, DeltaSource, DeltaTracker, plan_delta
-from repro.browse.sharding import ShardPool, batch_subset
+from repro.browse.sharding import batch_subset
 from repro.cache import CacheKey, TileResultCache, backing_summary, summary_generation, summary_token
 from repro.errors import InvalidRegionError
 from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
@@ -329,22 +329,18 @@ class BrowsePipeline:
         primary: Level2BatchEstimator,
         grid: Grid,
         *,
-        num_shards: int,
         instruments: BrowseInstrumentation | None,
         cache: TileResultCache | None,
         delta: DeltaTracker | None,
         parallel: ParallelExecutor | None,
-        pool: ShardPool | None,
         clock,
     ) -> None:
         self._primary = primary
         self._grid = grid
-        self._num_shards = num_shards
         self._obs = instruments
         self._cache = cache
         self._delta = delta
         self._parallel = parallel
-        self._pool = pool
         self._clock = clock
         self._summary = backing_summary(primary)
         self._summary_token = summary_token(self._summary)
@@ -365,16 +361,6 @@ class BrowsePipeline:
     def cache(self) -> TileResultCache | None:
         """The tile-result cache, when one was configured."""
         return self._cache
-
-    @property
-    def num_shards(self) -> int:
-        """Requested raster fan-out (1 = no sharding)."""
-        return self._num_shards
-
-    @property
-    def parallel_executor(self) -> ParallelExecutor | None:
-        """The shard-execution router, when sharding is configured."""
-        return self._parallel
 
     @property
     def delta(self) -> DeltaTracker | None:
@@ -399,9 +385,11 @@ class BrowsePipeline:
         )
 
     def close(self) -> None:
-        """Release the shard pools (threads, plus worker processes and
-        their shared segments under process parallelism; no-op when
-        unsharded).  Idempotent and safe to race with in-flight
+        """Release the plain service's
+        :class:`~repro.parallel.executor.ParallelExecutor` (threads, plus
+        worker processes and their shared segments under process
+        parallelism; no-op when unsharded and for the resilient service,
+        which owns no pool).  Idempotent and safe to race with in-flight
         :meth:`browse` calls, as gateway shutdown does: the first caller
         tears down and later ones return at once, while in-flight work
         completes because :class:`~repro.browse.sharding.ShardPool`
@@ -412,9 +400,8 @@ class BrowsePipeline:
             if self._closed:
                 return
             self._closed = True
-        for pool in (self._pool, self._parallel):
-            if pool is not None:
-                pool.close()
+        if self._parallel is not None:
+            self._parallel.close()
 
     # ------------------------------------------------------------------ #
     # the stages
@@ -629,15 +616,24 @@ class GeoBrowsingService(BrowsePipeline):
         super().__init__(
             as_batch_estimator(estimator),
             grid,
-            num_shards=num_shards,
             instruments=instruments,
             cache=cache,
             delta=delta,
             parallel=executor,
-            pool=None,
             clock=instruments.clock if instruments is not None else time.monotonic,
         )
         self._estimator = estimator
+        self._num_shards = num_shards
+
+    @property
+    def num_shards(self) -> int:
+        """Requested raster fan-out (1 = no sharding)."""
+        return self._num_shards
+
+    @property
+    def parallel_executor(self) -> ParallelExecutor | None:
+        """The shard-execution router, when sharding is configured."""
+        return self._parallel
 
     def browse(
         self,

@@ -28,8 +28,6 @@ import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
 from repro.grid.tiles_math import TileQueryBatch
 from repro.workers import usable_cpu_count
 
@@ -39,16 +37,19 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def band_slices(n: int, num_shards: int, *, min_shard: int = 256) -> list[slice]:
-    """Split ``n`` row-major tiles into up to ``num_shards`` contiguous
+def band_slices(n: int, num_shards: int, *, min_shard: int) -> list[slice]:
+    """Split ``n`` row-major items into up to ``num_shards`` contiguous
     bands of near-equal size, none smaller than ``min_shard`` (so tiny
-    rasters are not shredded into overhead).  Always returns at least one
+    inputs are not shredded into overhead; each caller states the
+    minimum its dispatch cost justifies).  Always returns at least one
     slice covering everything."""
     if n <= 0:
         return [slice(0, 0)]
     shards = max(1, min(num_shards, n // max(min_shard, 1) or 1))
-    bounds = np.linspace(0, n, shards + 1, dtype=int)
-    return [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    # Integer bounds: this runs on every raster, where numpy's linspace
+    # costs more than the rest of a one-band call.
+    bounds = [n * i // shards for i in range(shards + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def batch_subset(batch: TileQueryBatch, index) -> TileQueryBatch:

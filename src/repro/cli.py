@@ -189,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-rows", type=int, default=4, help="raster rows answered per chunk"
     )
     stats.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="row chunks dispatched concurrently per wave (default: 1)",
-    )
-    stats.add_argument(
         "--cache-mb",
         type=float,
         default=0.0,
@@ -626,9 +620,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.chunk_rows < 1:
         print("error: --chunk-rows must be positive", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("error: --shards must be positive", file=sys.stderr)
-        return 2
     if args.repeat < 1:
         print("error: --repeat must be positive", file=sys.stderr)
         return 2
@@ -673,7 +664,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             chunk_rows=args.chunk_rows,
             instruments=instruments,
             cache=cache,
-            num_shards=args.shards,
             delta=DeltaTracker() if args.delta else None,
             pyramid=pyramid,
         )

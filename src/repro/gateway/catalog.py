@@ -52,7 +52,7 @@ class DatasetBlueprint:
     service is built from; ``cache`` is the shared tile-result cache
     (``None`` disables caching); ``service_kwargs`` is forwarded to each
     :class:`~repro.browse.resilience.ResilientBrowsingService`
-    (``chunk_rows``, ``num_shards``, retry/breaker knobs, ...).
+    (``chunk_rows``, retry/breaker knobs, ...).
     """
 
     name: str

@@ -23,7 +23,8 @@ backing summary's generation has moved past the pool's exported
 snapshot, auto falls back to threads (forced ``process`` raises), and
 the workers would refuse the task anyway (defence in depth; see
 DESIGN.md section 14).  Only the plain service holds an executor: the
-resilient service runs its chunk waves on a thread ``ShardPool``.
+resilient service answers its row chunks one after another on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ class ParallelConfig:
       overhead.
     - ``startup_timeout``: how long a *forced* ``process`` mode waits
       for the first worker to attach; ``auto`` never waits.
+    - ``min_shard``: the smallest band, in tiles, either pool splits a
+      raster into; smaller rasters run as one band.
     - ``max_workers``, ``start_method``, ``capacity``,
-      ``dispatch_timeout``, ``min_shard``: forwarded to the pools.
+      ``dispatch_timeout``: forwarded to the pools.
     """
 
     mode: str = "thread"
@@ -219,19 +222,19 @@ class ParallelExecutor:
         return self._thread_estimate_field(batch, field_name)
 
     def _thread_estimate_field(self, batch: TileQueryBatch, field_name: str) -> np.ndarray:
-        slices = band_slices(len(batch), self.num_shards)
-        if len(slices) > 1:
-            return np.concatenate(
-                self._thread_pool.map(
-                    lambda sl: self._estimate_shard(batch, sl, field_name), slices
-                )
+        slices = band_slices(len(batch), self.num_shards, min_shard=self.config.min_shard)
+        if len(slices) == 1:
+            return self._estimate_shard(batch, field_name)
+        return np.concatenate(
+            self._thread_pool.map(
+                lambda sl: self._estimate_shard(batch_subset(batch, sl), field_name), slices
             )
-        return self._estimate_shard(batch, slice(0, len(batch)), field_name)
+        )
 
-    def _estimate_shard(self, batch: TileQueryBatch, sl: slice, field_name: str) -> np.ndarray:
+    def _estimate_shard(self, batch: TileQueryBatch, field_name: str) -> np.ndarray:
         obs = self._obs
         started = obs.clock() if obs is not None else 0.0
-        estimates = self._batch.estimate_batch(batch_subset(batch, sl))
+        estimates = self._batch.estimate_batch(batch)
         values = np.asarray(getattr(estimates, field_name), dtype=np.float64)
         if obs is not None:
             obs.shard_seconds.labels(service=self._service).observe(obs.clock() - started)

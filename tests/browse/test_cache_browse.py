@@ -5,7 +5,7 @@ cache/deadline/degradation interactions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.browse.resilience import ResilientBrowsingService
@@ -18,6 +18,7 @@ from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
 from repro.obs.instruments import BrowseInstrumentation
+from repro.parallel.executor import ParallelConfig
 from repro.testing.faults import FaultSchedule, FaultyBatchEstimator
 
 from tests.conftest import random_dataset
@@ -67,15 +68,28 @@ class TestCachedParity:
                 np.testing.assert_array_equal(got.counts, expected.counts)
             assert got.valid is None or got.valid.all()
 
-    @given(raster=rasters(), num_shards=st.sampled_from([2, 3, 8]))
+    @given(
+        raster=rasters(),
+        num_shards=st.sampled_from([2, 3, 8]),
+        # ``min_shard=1`` lets these small rasters split into several
+        # thread bands; at the default every one of them is one band.
+        parallel=st.sampled_from([None, ParallelConfig(mode="thread", min_shard=1)]),
+    )
+    @example(
+        raster=(TileQuery(0, 12, 0, 8), 4, 4, "overlap"),
+        num_shards=3,
+        parallel=ParallelConfig(mode="thread", min_shard=1),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_sharded_rasters_bit_identical(self, hist, raster, num_shards):
+    def test_sharded_rasters_bit_identical(self, hist, raster, num_shards, parallel):
         region, rows, cols, relation = raster
         estimator = SEulerApprox(hist)
         expected = GeoBrowsingService(estimator, GRID).browse(
             region, rows, cols, relation
         )
-        sharded = GeoBrowsingService(estimator, GRID, num_shards=num_shards)
+        sharded = GeoBrowsingService(
+            estimator, GRID, num_shards=num_shards, parallel=parallel
+        )
         try:
             got = sharded.browse(region, rows, cols, relation)
         finally:
@@ -195,20 +209,6 @@ class TestResilientCache:
         # The retried/recovered primary answered at least one chunk.
         assert len(cache) > 0
 
-    def test_sharded_resilient_parity(self, hist):
-        estimator = SEulerApprox(hist)
-        expected = ResilientBrowsingService([estimator], GRID).browse(
-            TileQuery(0, 12, 0, 8), 8, 12
-        )
-        sharded = ResilientBrowsingService(
-            [estimator], GRID, num_shards=4, chunk_rows=2
-        )
-        try:
-            got = sharded.browse(TileQuery(0, 12, 0, 8), 8, 12)
-        finally:
-            sharded.close()
-        np.testing.assert_array_equal(got.counts, expected.counts)
-
 
 class TestCacheMetrics:
     def test_plain_service_records_hits_and_misses(self, hist):
@@ -248,3 +248,19 @@ class TestCacheMetrics:
             service.close()
         shard_obs = instruments.shard_seconds.labels(service="plain")
         assert shard_obs.count >= 1
+
+    def test_thread_bands_follow_min_shard(self, hist):
+        """One ``shard_seconds`` sample per thread band: the 96-tile
+        raster splits into 4 bands at ``min_shard=1`` and stays one band
+        at the default minimum."""
+        for parallel, bands in ((ParallelConfig(mode="thread", min_shard=1), 4), (None, 1)):
+            instruments = BrowseInstrumentation()
+            service = GeoBrowsingService(
+                SEulerApprox(hist), GRID, num_shards=4, parallel=parallel,
+                instruments=instruments,
+            )
+            try:
+                service.browse(TileQuery(0, 12, 0, 8), 8, 12)
+            finally:
+                service.close()
+            assert instruments.shard_seconds.labels(service="plain").count == bands

@@ -1,5 +1,5 @@
 """Threaded stress test: many workers hammering one shared resilient
-service with the cache, shard pool and fault injector all enabled.
+service with the cache and fault injector both enabled.
 
 Both tiers wrap the same summary, so every fully-answered raster --
 whichever tier answered, cached or not -- must equal the fault-free
@@ -57,7 +57,6 @@ def test_threaded_stress_with_faults_cache_and_shards(hist):
         [primary, estimator],
         GRID,
         cache=cache,
-        num_shards=3,
         chunk_rows=2,
         failure_threshold=10_000,  # keep the breaker out of the way
         sleep=lambda _s: None,

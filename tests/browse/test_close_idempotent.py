@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.browse.resilience import ResilientBrowsingService
+from repro.browse.service import GeoBrowsingService
 from repro.euler.histogram import EulerHistogram
 from repro.euler.simple import SEulerApprox
 from repro.geometry.rect import Rect
@@ -39,7 +40,7 @@ def test_double_close_without_pools(estimator):
 
 
 def test_double_close_with_shard_pool(estimator):
-    service = ResilientBrowsingService([estimator], GRID, num_shards=3)
+    service = GeoBrowsingService(estimator, GRID, num_shards=3)
     service.browse(REGION, 4, 4)
     service.close()
     service.close()
@@ -47,7 +48,7 @@ def test_double_close_with_shard_pool(estimator):
 
 
 def test_concurrent_closes_race_safely(estimator):
-    service = ResilientBrowsingService([estimator], GRID, num_shards=2)
+    service = GeoBrowsingService(estimator, GRID, num_shards=2)
     errors: list[BaseException] = []
     barrier = threading.Barrier(8)
 

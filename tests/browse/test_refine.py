@@ -260,12 +260,6 @@ class TestDeadlineRaiseDegrades:
 
 
 class TestValidation:
-    def test_refine_fraction_validated(self, estimator, grid, pyramid):
-        with pytest.raises(ValueError, match="refine_fraction"):
-            make_service(estimator, grid, pyramid, refine_fraction=0.0)
-        with pytest.raises(ValueError, match="refine_fraction"):
-            make_service(estimator, grid, pyramid, refine_fraction=1.5)
-
     def test_pyramid_property_exposes_the_source(self, estimator, grid, pyramid):
         service = make_service(estimator, grid, pyramid)
         assert isinstance(service.pyramid, PyramidSource)

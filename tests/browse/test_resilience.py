@@ -492,6 +492,8 @@ class TestDeadlines:
         assert excinfo.value.answered_rows == 0
         assert excinfo.value.total_rows == 4
 
+    # ``num_shards`` shards the plain side only: the resilient service
+    # answers its chunks one after another.
     @pytest.mark.parametrize("num_shards", [1, 2], ids=["shards1", "shards2"])
     @pytest.mark.parametrize(
         "chunk_rows", [1, 3, PARITY_ROWS], ids=["chunk1", "chunk3", "chunkall"]
@@ -512,8 +514,7 @@ class TestDeadlines:
         )
         service = ResilientBrowsingService(
             [exact], grid, chunk_rows=chunk_rows, clock=FakeClock(),
-            instruments=resilient_obs, cache=resilient_cache,
-            num_shards=num_shards, delta=DeltaTracker(),
+            instruments=resilient_obs, cache=resilient_cache, delta=DeltaTracker(),
         )
         results = []
         try:
