@@ -26,8 +26,13 @@ interleave the configurations, so drift on the host hits them all
 equally; each point reports the median and quartiles of the rounds.
 Both pools size themselves to the CPUs the process may run on
 (:func:`~repro.workers.usable_cpu_count`), which the JSON records with
-the host.  The script also checks that no shared-memory segment
-outlives the run.
+the host.  Usable CPUs are not delivered CPUs: on a shared host, CPU
+steal can leave two CPUs doing the work of one and a half.  So before
+and after the sweep the script times one pure-Python spin loop in one
+process, then the same loop in two processes at once, and records the
+parallelism the host delivered (``2 * alone / together``: 2.0 is two
+whole CPUs, 1.0 is one) in the ``host`` block.  The script also checks
+that no shared-memory segment outlives the run.
 
 Results go to ``BENCH_browse_parallel.json`` at the repository root.
 Run directly::
@@ -35,10 +40,11 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_browse_parallel.py          # full
     PYTHONPATH=src python benchmarks/bench_browse_parallel.py --quick  # CI smoke
 
-``--quick`` is a parity-only smoke run on a small summary.  The >= 3x
-process-over-inline floor at 180x360 is gated only when at least 4 CPUs
-are usable; smaller hosts record the gate as skipped rather than
-publishing a vacuous pass.
+``--quick`` is a parity-only smoke run on a small summary; it still
+prints the delivered parallelism, so a CI log shows what the runner
+gave.  The >= 3x process-over-inline floor at 180x360 is gated only
+when at least 4 CPUs are usable; smaller hosts record the gate as
+skipped rather than publishing a vacuous pass.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import multiprocessing
 import os
 import pathlib
 import platform
@@ -78,6 +85,42 @@ CONFIGS = (
     "plain_process",
     "resilient_inline",
 )
+
+#: Iterations of the spin loop that measures delivered parallelism
+#: (about 0.1 s of one CPU).
+SPIN_ITERATIONS = 2_000_000
+
+
+def _spin(iterations: int) -> None:
+    total = 0
+    for i in range(iterations):
+        total += i
+
+
+def _spin_seconds(processes: int, iterations: int) -> float:
+    """Wall time of ``processes`` fork-started spin loops run at once
+    (fork, because a spawned child's interpreter start-up would be timed
+    with its loop)."""
+    context = multiprocessing.get_context("fork")
+    workers = [context.Process(target=_spin, args=(iterations,)) for _ in range(processes)]
+    start = time.perf_counter()
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    return time.perf_counter() - start
+
+
+def delivered_parallelism(iterations: int = SPIN_ITERATIONS) -> dict:
+    """Time one spin loop alone, then two in parallel processes; return
+    both times and the parallelism they imply."""
+    alone = _spin_seconds(1, iterations)
+    together = _spin_seconds(2, iterations)
+    return {
+        "one_alone_s": round(alone, 4),
+        "two_parallel_s": round(together, 4),
+        "parallelism": round(2 * alone / together, 2),
+    }
 
 
 def _shm_segments() -> set[str]:
@@ -168,12 +211,14 @@ def run(*, dataset: str, scale: float | None, rasters, rounds: int) -> dict:
         "M-Euler": workbench.multi_euler(dataset, 3),
     }
     usable = usable_cpu_count()
+    spin_before = delivered_parallelism()
     before = _shm_segments()
     points = []
     for label, estimator in estimators.items():
         points.extend(
             run_estimator(label, estimator, workbench.grid, rasters=rasters, rounds=rounds)
         )
+    spin_after = delivered_parallelism()
     leaked = sorted(_shm_segments() - before)
     if leaked:
         raise AssertionError(f"shared-memory segments leaked: {leaked}")
@@ -184,6 +229,7 @@ def run(*, dataset: str, scale: float | None, rasters, rounds: int) -> dict:
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             "usable_cpus": usable,
+            "delivered_parallelism": {"before": spin_before, "after": spin_after},
         },
         "dataset": dataset,
         "num_objects": len(workbench.dataset(dataset)),
@@ -225,6 +271,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args.out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {args.out}")
+    for when, spin in document["host"]["delivered_parallelism"].items():
+        print(
+            f"delivered parallelism {when} the sweep: {spin['parallelism']:.2f} of "
+            f"{document['host']['usable_cpus']} usable CPUs (one spin loop "
+            f"{spin['one_alone_s']:.3f} s, two in parallel {spin['two_parallel_s']:.3f} s)"
+        )
 
     # Parity raised inside run_estimator if violated; the speedup floor
     # is only meaningful where the hardware can express it.

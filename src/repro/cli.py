@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="build an Euler histogram from a dataset")
     build.add_argument(
-        "dataset", help="dataset path (.npz; with --zones also .ndjson/.jsonl/.npy)"
+        "dataset", help="dataset path (.npz; with --stream also .ndjson/.jsonl/.npy)"
     )
     build.add_argument("-o", "--output", required=True, help="output histogram .npz path")
     build.add_argument(
@@ -61,37 +61,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid cells per axis (default: 360 180)",
     )
     build.add_argument(
-        "--zones",
-        type=int,
-        default=0,
-        help="stream the dataset through the zoned out-of-core pipeline "
-        "with this many space-filling-curve zones (default: 0, direct "
-        "in-memory build)",
-    )
-    build.add_argument(
-        "--curve",
-        choices=("morton", "hilbert"),
-        default="morton",
-        help="space-filling curve ordering the zones (default: morton)",
+        "--stream",
+        action="store_true",
+        help="stream the dataset chunk by chunk through bounded memory "
+        "instead of loading it whole (default: direct in-memory build)",
     )
     build.add_argument(
         "--chunk-size",
         type=int,
         default=250_000,
-        help="objects per streamed chunk for --zones (default: 250000)",
+        help="objects per streamed chunk for --stream (default: 250000)",
     )
     build.add_argument(
         "--memory-mb",
         type=int,
         default=256,
-        help="global accumulator budget in MiB for --zones (default: 256)",
+        help="global histogram-builder budget in MiB for --stream (default: 256)",
     )
     build.add_argument(
         "--parallel",
         type=int,
         default=0,
         metavar="WORKERS",
-        help="zone-build worker processes for --zones (default: 0, inline)",
+        help="build worker processes for --stream (default: 0, inline)",
     )
     build.add_argument(
         "--start-method",
@@ -444,7 +436,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    data = RectDataset.load(args.dataset)
+    try:
+        data = RectDataset.load(args.dataset)
+    except SummaryCorruptError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for key, value in data.describe().items():
         if isinstance(value, float):
             print(f"{key:>20}: {value:.4f}")
@@ -454,8 +450,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    if args.zones:
-        return _cmd_build_zoned(args)
+    if args.stream:
+        return _cmd_build_streamed(args)
     try:
         data = RectDataset.load(args.dataset)
     except SummaryCorruptError as exc:
@@ -472,12 +468,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build_zoned(args: argparse.Namespace) -> int:
+def _cmd_build_streamed(args: argparse.Namespace) -> int:
     from repro.ingest import build_zoned, open_chunk_source
 
-    if args.zones < 1:
-        print("error: --zones must be positive", file=sys.stderr)
-        return 2
     if args.chunk_size < 1:
         print("error: --chunk-size must be positive", file=sys.stderr)
         return 2
@@ -498,8 +491,6 @@ def _cmd_build_zoned(args: argparse.Namespace) -> int:
         result = build_zoned(
             source,
             grid,
-            zones=args.zones,
-            curve=args.curve,
             memory_mb=args.memory_mb,
             workers=args.parallel,
             start_method=args.start_method,
@@ -515,15 +506,14 @@ def _cmd_build_zoned(args: argparse.Namespace) -> int:
         f"-> {args.output}"
     )
     print(
-        f"# zoned: {report.zones} {report.curve} zones, "
-        f"{report.chunks} chunks of {report.chunk_size:,} "
+        f"# stream: {report.chunks} chunks of {report.chunk_size:,} "
         f"(pool {report.chunks_pool} / inline {report.chunks_inline} / "
         f"replayed {report.chunks_replayed}), {report.workers} workers, "
         f"{report.crashes} crashes"
     )
     print(
-        f"# memory: peak accumulators {report.peak_accumulator_bytes:,} B "
-        f"of {report.budget_bytes:,} B budget, {report.spills} spills, "
+        f"# memory: peak builders {report.peak_accumulator_bytes:,} B "
+        f"of {report.budget_bytes:,} B budget, "
         f"{report.objects_per_second:,.0f} objects/s"
     )
     return 0

@@ -1,12 +1,14 @@
-"""``repro.ingest``: zoned out-of-core histogram construction.
+"""``repro.ingest``: streamed out-of-core histogram construction.
 
 Streams arbitrarily large object sets through bounded memory into Euler
 histograms bit-identical to an in-memory build: replayable chunk sources
-(:mod:`~repro.ingest.chunks`), space-filling-curve zoning
-(:mod:`~repro.ingest.zones`), budgeted spill-to-disk accumulation
-(:mod:`~repro.ingest.accumulator`), a crash-tolerant worker pool
-(:mod:`~repro.ingest.pool`) and the orchestrating
-:func:`~repro.ingest.pipeline.build_zoned`.  See DESIGN.md section 17.
+(:mod:`~repro.ingest.chunks`), a crash-tolerant worker pool in which
+every participant holds one histogram builder
+(:mod:`~repro.ingest.pool`, :mod:`~repro.ingest.worker`) and the
+orchestrating :func:`~repro.ingest.pipeline.build_zoned`.  Per-zone
+summaries for scatter-gather serving add space-filling-curve zoning
+(:mod:`~repro.ingest.zones`) and budgeted spill-to-disk accumulation
+(:mod:`~repro.ingest.accumulator`).  See DESIGN.md section 17.
 """
 
 from repro.ingest.accumulator import ZoneAccumulator, ZonePartial, load_zone_partial

@@ -1,9 +1,12 @@
 """Budgeted per-zone accumulation with checksummed disk spills.
 
-The heart of bounded-memory construction: a :class:`ZoneAccumulator`
-owns one :class:`~repro.euler.histogram.EulerHistogramBuilder` per zone
-it has seen spans for, charges their difference-array footprints against
-a byte budget, and when the budget is exceeded spills the
+The zone-summary path of streamed construction
+(``build_zoned(keep_zone_summaries=True)``; a plain build holds one
+builder per participant and never comes here): a
+:class:`ZoneAccumulator` owns one
+:class:`~repro.euler.histogram.EulerHistogramBuilder` per zone it has
+seen spans for, charges their difference-array footprints against a
+byte budget, and when the budget is exceeded spills the
 least-recently-touched zones to disk as :class:`ZonePartial` files.
 
 A spilled partial is the builder's scratch clipped to the bounding box

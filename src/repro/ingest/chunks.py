@@ -1,8 +1,8 @@
 """Replayable chunk sources for streaming construction.
 
 The out-of-core builder never holds a whole dataset: it pulls bounded
-chunks from a :class:`ChunkSource` and routes each chunk's rectangles to
-zone accumulators.  A source is an *indexed* stream -- every chunk has a
+chunks from a :class:`ChunkSource` and adds each chunk's rectangles to
+a histogram builder.  A source is an *indexed* stream -- every chunk has a
 stable index and can be re-read by that index -- because the parallel
 build replays the chunks a crashed worker had in flight.  Four sources
 cover the repo's object supplies:

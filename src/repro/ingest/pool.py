@@ -1,44 +1,41 @@
-"""Crash-tolerant process pool for zone-build workers.
+"""Crash-tolerant process pool for streamed-build workers.
 
-:class:`ZoneBuildPool` deals raw coordinate chunks round-robin to
-zone-build workers (:func:`repro.ingest.worker.setup`) with bounded
-in-flight depth, then drains per-worker zone partials in a finish pass.
+:class:`ZoneBuildPool` deals raw coordinate chunks round-robin to build
+workers (:func:`repro.ingest.worker.setup`) with bounded in-flight
+depth, then drains one builder partial per worker in a finish pass.
 Spawning, the ready handshake, waits, respawn and shutdown are the
 shared :class:`~repro.workers.Supervisor`'s (the same one
 :class:`repro.parallel.pool.ProcessShardPool` runs); this module keeps
-chunk dealing, lost-chunk bookkeeping and spill cleanup -- its loss
-policy, adapted to *stateful* workers:
+chunk dealing and lost-chunk bookkeeping -- its loss policy, adapted to
+*stateful* workers:
 
 - **crash** -- a worker accumulates state across every chunk it was
-  dealt, so losing it loses all of that state, including spill files of
-  unknown completeness.  The pool therefore records every chunk index
-  ever assigned to the worker as *lost*, deletes the dead worker's spill
-  files (its label names them), and respawns a fresh worker for future
-  chunks.  The pipeline replays lost chunks inline from the replayable
-  source -- the build always completes, bit-identical.
+  dealt, so losing it loses all of that state.  The pool therefore
+  records every chunk index ever assigned to the worker as *lost* and
+  respawns a fresh worker for future chunks.  The pipeline replays lost
+  chunks inline from the replayable source -- the build always
+  completes, bit-identical.
 - **stall** -- a dispatch or drain that sees no progress within the
   timeout treats the busy workers as crashed (terminate, lose, replay):
   a hung worker must never hang the build.
-- **worker error** -- an ``error`` reply is a data or accumulator bug
-  that would equally fail inline, so it aborts the build as
+- **worker error** -- an ``error`` reply is a data or builder bug that
+  would equally fail inline, so it aborts the build as
   :class:`IngestWorkerError` rather than triggering replay.
 
-Workers report ``("result", ...)`` exactly once, on ``finish``; partials
-ride the pipe (they are bbox-clipped, so small for local data), while
-spilled partials stay on disk and are named by path.
+Workers report ``("result", ...)`` exactly once, on ``finish``; the
+builder's whole-lattice patch rides the pipe.
 """
 
 from __future__ import annotations
 
-import glob
-import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.datasets.base import RectDataset
-from repro.ingest.accumulator import ZonePartial
+from repro.grid.grid import Grid
 from repro.ingest.worker import setup
-from repro.ingest.zones import ZoneMap
 from repro.workers import Supervisor, Worker
 
 __all__ = ["IngestWorkerError", "ZoneBuildPool", "ZonePoolResult"]
@@ -48,22 +45,23 @@ MAX_INFLIGHT = 4
 
 
 class IngestWorkerError(RuntimeError):
-    """A worker's snap/accumulate step raised; carries the worker-side
-    repr.  This is a data or accumulator bug surfacing -- the inline
+    """A worker's snap/add step raised; carries the worker-side
+    repr.  This is a data or builder bug surfacing -- the inline
     path would hit the same bug -- so it aborts the build."""
 
 
 @dataclass
 class ZonePoolResult:
-    """Everything the merge pass needs from a drained pool."""
+    """Everything the merge needs from a drained pool.
 
-    partials: list[ZonePartial] = field(default_factory=list)
-    spill_paths: list[str] = field(default_factory=list)
+    ``partials`` holds one ``(patch, num_objects)`` pair per worker that
+    finished: its builder's whole-lattice difference patch (see
+    :meth:`~repro.euler.histogram.EulerHistogramBuilder.export_partial`).
+    """
+
+    partials: list[tuple[np.ndarray, int]] = field(default_factory=list)
     lost_chunks: list[int] = field(default_factory=list)
     crashes: int = 0
-    spills: int = 0
-    peak_bytes: int = 0
-    objects: int = 0
 
 
 class _BuildWorker(Worker):
@@ -78,34 +76,26 @@ class _BuildWorker(Worker):
 
 
 class ZoneBuildPool:
-    """Deal chunks to zone-build workers; collect partials at the end.
-
-    ``budget_bytes`` is the **per-worker** accumulator budget (the
-    pipeline divides the global ``--memory-mb`` budget by the worker
-    count).  ``spill_dir`` must exist and outlive the pool; spill files
-    are namespaced per worker incarnation so a crashed worker's files
-    can be discarded without touching survivors'.
-    """
+    """Deal chunks to build workers; collect one partial per worker at
+    the end.  Each worker holds one builder over ``grid``; the pipeline
+    charges it against the ``--memory-mb`` budget."""
 
     def __init__(
         self,
-        zone_map: ZoneMap,
+        grid: Grid,
         *,
         workers: int,
-        budget_bytes: int,
-        spill_dir: str | os.PathLike,
         start_method: str = "spawn",
         dispatch_timeout: float = 60.0,
         label: str = "ingest",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        self._spill_dir = os.fspath(spill_dir)
         self._dispatch_timeout = float(dispatch_timeout)
         self.result = ZonePoolResult()
         self._supervisor = Supervisor(
             setup,
-            (zone_map, int(budget_bytes), self._spill_dir),
+            (grid,),
             count=workers,
             start_method=start_method,
             name=label,
@@ -121,22 +111,13 @@ class ZoneBuildPool:
     def _workers(self) -> list[_BuildWorker]:
         return self._supervisor.workers
 
-    def _spill_files(self, worker: Worker) -> list[str]:
-        return glob.glob(os.path.join(self._spill_dir, f"{worker.label}-*.npz"))
-
     def _on_loss(self, worker: _BuildWorker, reason: str) -> None:
         """A worker is dead or condemned: all chunks it ever saw are
-        lost (the pipeline replays them) and its spill files are
-        garbage."""
+        lost (the pipeline replays them)."""
         self.result.crashes += 1
         self.result.lost_chunks.extend(worker.assigned)
         worker.assigned.clear()
         worker.inflight = 0
-        for path in self._spill_files(worker):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover
-                pass
 
     def ensure_ready(self, timeout: float = 10.0) -> int:
         """Wait up to ``timeout`` for workers to report ready; returns
@@ -150,19 +131,9 @@ class ZoneBuildPool:
         return self._supervisor.worker_pids()
 
     def close(self) -> None:
-        """Stop every worker and delete any spill files not handed over
-        in a ``result`` (idempotent)."""
-        if self._supervisor.closed:
-            return
-        self._supervisor.close()
-        handed_over = set(self.result.spill_paths)
-        for w in self._workers:
-            for path in self._spill_files(w):
-                if path not in handed_over:
-                    try:
-                        os.unlink(path)
-                    except OSError:  # pragma: no cover
-                        pass
+        """Stop every worker (idempotent)."""
+        if not self._supervisor.closed:
+            self._supervisor.close()
 
     def __enter__(self) -> "ZoneBuildPool":
         return self
@@ -178,7 +149,6 @@ class ZoneBuildPool:
         kind = message[0]
         if kind == "done":
             worker.inflight = max(worker.inflight - 1, 0)
-            self.result.objects += int(message[2])
         elif kind == "error":
             raise IngestWorkerError(
                 f"worker {worker.slot} failed on chunk {message[1]}: {message[2]}"
@@ -199,7 +169,7 @@ class ZoneBuildPool:
         """Deal one raw chunk to the least-loaded ready worker, blocking
         while every worker is at full in-flight depth.  Returns ``False``
         when no worker could take the chunk before the timeout (the
-        caller accumulates it inline instead)."""
+        caller adds it inline instead)."""
         deadline = time.monotonic() + self._dispatch_timeout
         while True:
             candidates = [w for w in self._supervisor.ready() if w.inflight < MAX_INFLIGHT]
@@ -235,6 +205,12 @@ class ZoneBuildPool:
                             supervisor.lose(w, "stall", respawn=False)
                     break
 
+        # A worker can die after its last "done" was read, so no wait
+        # above saw its sentinel.  ready() skips dead processes, so lose
+        # it here, or its chunks would be neither merged nor replayed.
+        for w in list(self._workers):
+            if w.ready and not w.process.is_alive():
+                supervisor.lose(w, "crash", respawn=False)
         pending = {
             w for w in supervisor.ready() if supervisor.send(w, ("finish",), respawn=False)
         }
@@ -249,11 +225,8 @@ class ZoneBuildPool:
                     pending.discard(worker)
                 elif message[0] == "result":
                     pending.discard(worker)
-                    _, _, partials, spill_paths, stats = message
-                    self.result.partials.extend(partials)
-                    self.result.spill_paths.extend(spill_paths)
-                    self.result.spills += int(stats["spills"])
-                    self.result.peak_bytes += int(stats["peak_bytes"])
+                    _, _, patch, num_objects = message
+                    self.result.partials.append((patch, int(num_objects)))
                     worker.assigned.clear()
                 else:
                     self._handle_message(worker, message)

@@ -1,29 +1,24 @@
-"""The zone-build worker: snap, route, accumulate, hand back partials.
+"""The streamed-build worker: snap each chunk into one builder.
 
 Each build worker runs :func:`repro.workers.run_worker` with
-:func:`setup`, which constructs a
-:class:`~repro.ingest.accumulator.ZoneAccumulator` over the shipped
-:class:`~repro.ingest.zones.ZoneMap`'s grid (its spill files are
-namespaced by the worker's incarnation label) and registers two
-handlers:
+:func:`setup`, which allocates one
+:class:`~repro.euler.histogram.EulerHistogramBuilder` over the shipped
+grid and registers two handlers:
 
 - ``("chunk", chunk_index, x_lo, x_hi, y_lo, y_hi)`` -- snap the raw
-  world-coordinate columns to lattice spans, route them to zones and
-  scatter into the accumulator; reply ``("done", chunk_index, n)``.  A
-  failure becomes the supervisor's ``("error", chunk_index, repr)`` -- a
-  data or accumulator error is a build-aborting bug, not a crash to
-  mask.
-- ``("finish",)`` -- export the live zones as in-memory partials and
-  reply ``("result", label, partials, spill_paths, stats)``.
+  world-coordinate columns to lattice spans and add them to the
+  builder; reply ``("done", chunk_index, n)``.  A failure becomes the
+  supervisor's ``("error", chunk_index, repr)`` -- a data error is a
+  build-aborting bug, not a crash to mask.
+- ``("finish",)`` -- export the builder's whole lattice and reply
+  ``("result", label, patch, num_objects)``.
 
-The handshake and ``stop`` are the shared supervisor's.  Each worker
-owns builders for **every** zone it happens to see: the parent
-round-robins raw chunks instead of routing by zone, which keeps the
-parent's per-chunk work at one pipe send and parallelises the dominant
-snap+scatter cost.  Difference-domain accumulation is exact and
-order-independent, so per-zone partials from different workers merge
-bit-identically to a single-builder build no matter how chunks were
-dealt.
+The handshake and ``stop`` are the shared supervisor's.  The parent
+deals raw chunks round-robin, so its per-chunk work is one pipe send
+and the snap+add cost runs in parallel.  Difference-domain accumulation
+is exact and order-independent, so the workers' builders merge into the
+parent's bit-identically to a single-builder build no matter how chunks
+were dealt.
 
 This module must stay importable with no side effects: ``spawn`` workers
 re-import it by qualified name.
@@ -35,12 +30,11 @@ from contextlib import ExitStack
 
 import numpy as np
 
+from repro.euler.histogram import EulerHistogramBuilder
 from repro.geometry.snapping import snap_rects
 from repro.grid.grid import Grid
-from repro.ingest.accumulator import ZoneAccumulator
-from repro.ingest.zones import ZoneMap
 
-__all__ = ["setup", "snap_columns"]
+__all__ = ["add_columns", "setup", "snap_columns"]
 
 
 def snap_columns(
@@ -62,25 +56,31 @@ def snap_columns(
     )
 
 
-def setup(
-    _stack: ExitStack, label: str, zone_map: ZoneMap, budget_bytes: int, spill_dir: str
-) -> dict:
-    """Build the worker's accumulator and return its handlers."""
-    accumulator = ZoneAccumulator(zone_map.grid, budget_bytes, spill_dir, label=label)
+def add_columns(
+    builder: EulerHistogramBuilder,
+    x_lo: np.ndarray,
+    x_hi: np.ndarray,
+    y_lo: np.ndarray,
+    y_hi: np.ndarray,
+) -> int:
+    """Snap raw MBR columns onto ``builder``'s grid and add them; returns
+    the number of objects added."""
+    spans = snap_columns(builder.grid, x_lo, x_hi, y_lo, y_hi)
+    count = int(spans[0].size)
+    builder.add_spans(*spans, np.ones(count, dtype=np.int64))
+    return count
+
+
+def setup(_stack: ExitStack, label: str, grid: Grid) -> dict:
+    """Allocate the worker's builder and return its handlers."""
+    builder = EulerHistogramBuilder(grid)
 
     def chunk(chunk_index: int, x_lo, x_hi, y_lo, y_hi) -> tuple:
-        a_lo, a_hi, b_lo, b_hi = snap_columns(zone_map.grid, x_lo, x_hi, y_lo, y_hi)
-        zones = zone_map.zone_of_spans(a_lo, a_hi, b_lo, b_hi)
-        accumulator.add_spans(zones, a_lo, a_hi, b_lo, b_hi)
-        return ("done", chunk_index, int(np.asarray(x_lo).size))
+        return ("done", chunk_index, add_columns(builder, x_lo, x_hi, y_lo, y_hi))
 
     def finish() -> tuple:
-        partials = accumulator.finish()
-        stats = {
-            "objects": accumulator.objects,
-            "spills": accumulator.spills,
-            "peak_bytes": accumulator.peak_bytes,
-        }
-        return ("result", label, partials, list(accumulator.spill_paths), stats)
+        a_max, b_max = grid.lattice_shape
+        patch, num_objects = builder.export_partial(0, a_max - 1, 0, b_max - 1)
+        return ("result", label, patch, num_objects)
 
     return {"chunk": chunk, "finish": finish}

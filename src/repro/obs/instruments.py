@@ -354,7 +354,7 @@ class IngestInstrumentation:
         r = registry
         self.objects = r.counter(
             "repro_ingest_objects_total",
-            help="Objects streamed into zoned construction",
+            help="Objects streamed into out-of-core construction",
             labels=("source",),
         )
         self.chunks = r.counter(
@@ -374,7 +374,7 @@ class IngestInstrumentation:
         )
         self.peak_accumulator_bytes = r.gauge(
             "repro_ingest_peak_accumulator_bytes",
-            help="Peak bytes held by zone accumulators during the last build",
+            help="Peak bytes held by histogram builders during the last build",
             labels=("source",),
         )
         self.objects_per_second = r.gauge(
@@ -384,7 +384,7 @@ class IngestInstrumentation:
         )
         self.build_seconds = r.histogram(
             "repro_ingest_build_seconds",
-            help="End-to-end zoned build latency",
+            help="End-to-end streamed build latency",
             labels=("source",),
             buckets=DEFAULT_LATENCY_BUCKETS,
         )

@@ -15,7 +15,9 @@ costs only:
 
 No query or result data ever crosses a pipe, so the per-dispatch
 overhead is microseconds and a long-lived pool amortises worker startup
-across every raster of a browsing session.  Spawning, the ready
+across every raster of a browsing session.  A round that band slicing
+leaves as one band (under ``2 * min_shard`` tiles, or one ready worker)
+is answered inline on the calling thread, like the thread route's.  Spawning, the ready
 handshake, loss and respawn and shutdown are the shared
 :class:`~repro.workers.Supervisor`'s; this module keeps only band
 dispatch over the shared buffers and its loss policy.
@@ -311,24 +313,26 @@ class ProcessShardPool:
         self, batch: TileQueryBatch, lo: int, hi: int, out: np.ndarray
     ) -> None:
         """One capacity-bounded round: fan bands of ``batch[lo:hi)`` out
-        to the ready workers, inline-compute whatever cannot be (no
-        workers, crashes, timeouts, staleness)."""
+        to the ready workers, inline-compute whatever cannot be (one
+        band, no workers, crashes, timeouts, staleness)."""
         m = hi - lo
         if m == 0:
             return
         chunk = batch_subset(batch, slice(lo, hi))
-        self._qbuf[0, :m] = chunk.qx_lo
-        self._qbuf[1, :m] = chunk.qx_hi
-        self._qbuf[2, :m] = chunk.qy_lo
-        self._qbuf[3, :m] = chunk.qy_hi
-
         supervisor = self._supervisor
         ready = supervisor.ready()
+        slices = band_slices(m, min(self.num_shards, len(ready)), min_shard=self._min_shard)
         inline_slices: list[slice] = []
-        if not ready:
-            inline_slices.append(slice(0, m))
+        if len(slices) == 1:
+            # One band -- no ready worker, or too few tiles to split:
+            # answer it here, as the thread route does.  A worker would
+            # add pipe and wake-up latency and no parallelism.
+            inline_slices.append(slices[0])
         else:
-            slices = band_slices(m, min(self.num_shards, len(ready)), min_shard=self._min_shard)
+            self._qbuf[0, :m] = chunk.qx_lo
+            self._qbuf[1, :m] = chunk.qx_hi
+            self._qbuf[2, :m] = chunk.qy_lo
+            self._qbuf[3, :m] = chunk.qy_hi
             pending: dict[Worker, tuple[int, slice]] = {}
             for band, worker in zip(slices, ready):
                 self._task_counter += 1

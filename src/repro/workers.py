@@ -2,14 +2,13 @@
 
 Both process pools -- :class:`~repro.parallel.pool.ProcessShardPool`
 (raster bands over shared summaries) and
-:class:`~repro.ingest.pool.ZoneBuildPool` (zone builds over streamed
-chunks) -- run their workers through this module.  It owns everything
-that is the same for both:
+:class:`~repro.ingest.pool.ZoneBuildPool` (histogram builds over
+streamed chunks) -- run their workers through this module.  It owns
+everything that is the same for both:
 
 - **spawn** -- one ``get_context(start_method)`` duplex pipe and daemon
   process per slot; every incarnation gets a fresh ``label``
-  (``<name>-w<slot>i<n>``) that pools may use to namespace worker-side
-  files;
+  (``<name>-w<slot>i<n>``), which also names its process;
 - **handshake** -- the child runs its ``setup`` and answers
   ``("ready", slot, pid)`` or ``("init_error", slot, repr)``; the parent
   ends every worker with ``("stop",)``;
@@ -19,7 +18,7 @@ that is the same for both:
 - **loss** -- :meth:`Supervisor.lose` closes, terminates and joins a
   dead or condemned worker, hands it to the pool's ``on_loss`` callback
   (the only pool-specific part: recompute a band, forfeit chunks,
-  delete spill files, count a metric) and respawns its slot;
+  count a metric) and respawns its slot;
 - **close** -- stop, join, terminate;
 - **the child loop** -- :func:`run_worker` dispatches each message to
   the handler the pool's ``setup`` registered for its kind and turns a

@@ -18,7 +18,6 @@ from repro.grid.grid import Grid
 from repro.ingest import SyntheticChunkSource, build_zoned
 from repro.ingest.pool import IngestWorkerError, ZoneBuildPool
 from repro.ingest.worker import snap_columns
-from repro.ingest.zones import ZoneMap
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="fork start method not available"
@@ -71,6 +70,25 @@ def test_worker_count_is_clamped_by_budget(source):
     np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
 
 
+def test_pool_build_holds_one_builder_per_participant(source):
+    # A budget of exactly three builders feeds two workers plus this
+    # process's builder, whatever the requested fan-out; none spills.
+    big = Grid(source.extent, 256, 256)
+    shape = big.lattice_shape
+    builder_nbytes = (shape[0] + 1) * (shape[1] + 1) * 8
+    assert builder_nbytes == 2 << 20
+    result = build_zoned(
+        source, big, zones=24, workers=8, start_method="fork", memory_mb=6
+    )
+    report = result.report
+    assert report.workers == 2
+    assert report.chunks_pool == source.num_chunks
+    assert report.spills == 0
+    assert report.peak_accumulator_bytes == 3 * builder_nbytes <= report.budget_bytes
+    direct = EulerHistogram.from_dataset(source.materialize(), big)
+    np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
+
+
 class _KillOnChunk(ZoneBuildPool):
     """Fault injection: SIGKILL one worker right after a given dispatch."""
 
@@ -106,12 +124,8 @@ def test_worker_crash_replays_lost_chunks_exactly(source, grid, direct, tmp_path
     assert not list(tmp_path.glob("*.npz"))
 
 
-def test_crash_during_drain_forfeits_chunks(source, grid, tmp_path):
-    zone_map = ZoneMap.for_grid(grid, 8)
-    pool = ZoneBuildPool(
-        zone_map, workers=2, budget_bytes=1 << 24, spill_dir=tmp_path,
-        start_method="fork", label="drain-crash",
-    )
+def test_crash_during_drain_forfeits_chunks(source, grid):
+    pool = ZoneBuildPool(grid, workers=2, start_method="fork", label="drain-crash")
     try:
         assert pool.ensure_ready() == 2
         sent = []
@@ -124,8 +138,31 @@ def test_crash_during_drain_forfeits_chunks(source, grid, tmp_path):
         assert result.crashes == 2
         assert sorted(result.lost_chunks) == sent
         assert result.partials == []
-    finally:
         pool.close()
+    finally:
+        pool.close()  # close() is idempotent
+
+
+def test_worker_dead_after_its_last_reply_is_replayed(source, grid, direct, monkeypatch):
+    # The worker dies once every "done" it sent has been read, so no
+    # wait sees its sentinel before drain: drain must still count the
+    # crash and forfeit its chunks for replay, not drop them.
+    class _KillBeforeDrain(ZoneBuildPool):
+        def drain(self, timeout=120.0):
+            while any(w.inflight for w in self._workers):
+                self._poll(1.0)
+            victim = self._workers[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.process.join(10.0)
+            assert not victim.process.is_alive()
+            return super().drain(timeout)
+
+    monkeypatch.setattr("repro.ingest.pipeline.ZoneBuildPool", _KillBeforeDrain)
+    result = build_zoned(source, grid, workers=2, start_method="fork", memory_mb=64)
+    assert result.report.crashes == 1
+    assert result.report.chunks_replayed >= 1
+    assert result.histogram.num_objects == N_OBJECTS
+    np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
 
 
 def test_worker_error_aborts_the_build(grid, tmp_path, monkeypatch):
@@ -201,37 +238,22 @@ def test_stalled_dispatch_falls_back_inline(source, grid, direct, tmp_path, monk
     assert report.chunks_pool + report.chunks_inline + report.chunks_replayed == source.num_chunks
 
 
-def test_pool_spills_are_deleted_on_close(grid, tmp_path):
-    zone_map = ZoneMap.for_grid(grid, 8)
-    pool = ZoneBuildPool(
-        zone_map, workers=1, budget_bytes=1 << 24, spill_dir=tmp_path,
-        start_method="fork", label="closer",
-    )
-    try:
-        assert pool.ensure_ready() == 1
-    finally:
-        pool.close()
-    assert not list(tmp_path.glob("*.npz"))
-    # close() is idempotent.
-    pool.close()
-
-
 def _fail_first_worker_init(monkeypatch, flag, fail):
     """Make the first build worker to start fail its init via ``fail``;
     every later worker (the respawn included) comes up normally.  Fork
     children inherit the patched worker module."""
     import repro.ingest.worker as worker_module
 
-    real = worker_module.ZoneAccumulator
+    real = worker_module.EulerHistogramBuilder
 
-    def accumulator(*args, **kwargs):
+    def builder(*args, **kwargs):
         try:
             os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         except FileExistsError:
             return real(*args, **kwargs)
         fail()
 
-    monkeypatch.setattr(worker_module, "ZoneAccumulator", accumulator)
+    monkeypatch.setattr(worker_module, "EulerHistogramBuilder", builder)
 
 
 def _die():

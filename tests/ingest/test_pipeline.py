@@ -43,9 +43,30 @@ class TestInlineParity:
         shape = grid.lattice_shape
         builder_mb = ((shape[0] + 1) * (shape[1] + 1) * 8) / (1 << 20)
         memory_mb = max(1, int(np.ceil(2 * builder_mb)))
-        result = build_zoned(source, grid, zones=64, memory_mb=memory_mb)
+        result = build_zoned(
+            source, grid, zones=64, memory_mb=memory_mb, keep_zone_summaries=True
+        )
         assert result.report.spills > 0
         assert result.report.peak_accumulator_bytes <= result.report.budget_bytes
+        np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
+
+    def test_plain_build_holds_one_builder_and_never_spills(
+        self, source, grid, direct, monkeypatch
+    ):
+        # 64 zones under a budget of two builders: zones are only for
+        # summaries, so a plain build allocates one builder and creates
+        # no spill directory.
+        def no_spill_dir(*args, **kwargs):
+            raise AssertionError("a plain build must not create a spill directory")
+
+        monkeypatch.setattr("tempfile.mkdtemp", no_spill_dir)
+        shape = grid.lattice_shape
+        builder_nbytes = (shape[0] + 1) * (shape[1] + 1) * 8
+        memory_mb = max(1, int(np.ceil(2 * builder_nbytes / (1 << 20))))
+        result = build_zoned(source, grid, zones=64, memory_mb=memory_mb)
+        assert result.report.spills == 0
+        assert result.report.peak_accumulator_bytes == builder_nbytes
+        assert result.zone_map is None
         np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
 
     def test_budget_too_small_for_one_builder(self, grid):
@@ -69,7 +90,7 @@ class TestReport:
         assert report.chunks_pool == report.chunks_replayed == 0
         assert report.workers == 0 and report.crashes == 0
         assert report.objects == 4000
-        assert report.zones == 8 and report.curve == "morton"
+        assert report.zones == 0 and report.curve is None
         assert report.objects_per_second > 0
         doc = report.to_dict()
         assert doc["objects"] == 4000 and doc["source"] == "sp_skew"
@@ -147,6 +168,7 @@ class TestSpillDirOwnership:
             zones=64,
             memory_mb=max(1, int(np.ceil(2 * builder_mb))),
             spill_dir=spill_dir,
+            keep_zone_summaries=True,
         )
         assert result.report.spills > 0
         assert spill_dir.is_dir()

@@ -53,9 +53,9 @@ def build_cases(draw):
     }
 
 
-@given(case=build_cases())
+@given(case=build_cases(), keep_zone_summaries=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_zoned_build_is_bit_identical_inline(case):
+def test_zoned_build_is_bit_identical_inline(case, keep_zone_summaries):
     source = DatasetChunkSource(case["dataset"], case["chunk_size"])
     direct = EulerHistogram.from_dataset(case["dataset"], case["grid"])
     result = build_zoned(
@@ -64,6 +64,7 @@ def test_zoned_build_is_bit_identical_inline(case):
         zones=case["zones"],
         curve=case["curve"],
         memory_mb=case["memory_mb"],
+        keep_zone_summaries=keep_zone_summaries,
     )
     np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
     assert result.histogram.num_objects == direct.num_objects

@@ -264,6 +264,24 @@ def test_every_worker_crashing_still_completes(estimator, raster, inline):
         assert pool.crashes == 2  # both workers died on their first band
 
 
+def test_one_band_round_is_answered_inline(estimator, grid):
+    # 45x90 = 4050 tiles is under 2 x the default min_shard (2048), so
+    # band slicing leaves one band: the calling thread answers it and no
+    # worker sees a task -- a worker that would crash on its first call
+    # never does.
+    small = browsing_tile_batch(TileQuery(0, grid.n1, 0, grid.n2), 45, 90)
+    with ProcessShardPool(
+        estimator,
+        num_shards=4,
+        max_workers=2,
+        start_method="fork",
+        spec_transform=lambda spec: WorkerCrashSpec(spec, crash_on_call=1),
+    ) as pool:
+        assert pool.ensure_ready(20.0) == 2
+        assert_parity(pool.estimate_batch(small), estimator.estimate_batch(small))
+        assert pool.crashes == 0
+
+
 def test_slow_workers_hit_timeout_and_fall_back_inline(estimator, raster, inline):
     obs = BrowseInstrumentation()
     with make_pool(

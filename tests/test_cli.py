@@ -53,6 +53,12 @@ class TestDescribe:
         assert "count" in out and "2000" in out
         assert "area_mean" in out
 
+    def test_unreadable_dataset_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(b"not a zip archive")
+        assert main(["describe", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestBuild:
     def test_writes_histogram(self, hist_path):
@@ -75,7 +81,7 @@ class TestBuildZoned:
             [
                 "build", str(data_path), "-o", str(out),
                 "--cells", "90", "45",
-                "--zones", "16", "--chunk-size", "300", "--memory-mb", "8",
+                "--stream", "--chunk-size", "300", "--memory-mb", "8",
             ]
         )
         assert code == 0
@@ -89,11 +95,11 @@ class TestBuildZoned:
         main(
             [
                 "build", str(data_path), "-o", str(out),
-                "--zones", "8", "--curve", "hilbert", "--chunk-size", "500",
+                "--stream", "--chunk-size", "500",
             ]
         )
         printed = capsys.readouterr().out
-        assert "8 hilbert zones" in printed
+        assert "4 chunks of 500" in printed
         assert "objects/s" in printed
 
     def test_streams_ndjson_without_npz(self, tmp_path, data_path, capsys):
@@ -114,7 +120,7 @@ class TestBuildZoned:
         code = main(
             [
                 "build", str(path), "-o", str(out),
-                "--cells", "90", "45", "--zones", "4", "--chunk-size", "512",
+                "--cells", "90", "45", "--stream", "--chunk-size", "512",
                 "--extent", str(extent.x_lo), str(extent.x_hi),
                 str(extent.y_lo), str(extent.y_hi),
             ]
@@ -124,21 +130,19 @@ class TestBuildZoned:
 
     def test_rejects_bad_flags(self, tmp_path, data_path, capsys):
         out = str(tmp_path / "h.npz")
-        assert main(["build", str(data_path), "-o", out, "--zones", "-1"]) == 2
-        assert "--zones" in capsys.readouterr().err
         assert main(
-            ["build", str(data_path), "-o", out, "--zones", "4", "--chunk-size", "0"]
+            ["build", str(data_path), "-o", out, "--stream", "--chunk-size", "0"]
         ) == 2
         assert "--chunk-size" in capsys.readouterr().err
         assert main(
-            ["build", str(data_path), "-o", out, "--zones", "4", "--parallel", "-2"]
+            ["build", str(data_path), "-o", out, "--stream", "--parallel", "-2"]
         ) == 2
         assert "--parallel" in capsys.readouterr().err
 
     def test_rejects_unreadable_source(self, tmp_path, capsys):
         missing = tmp_path / "nope.ndjson"
         code = main(
-            ["build", str(missing), "-o", str(tmp_path / "h.npz"), "--zones", "4"]
+            ["build", str(missing), "-o", str(tmp_path / "h.npz"), "--stream"]
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
